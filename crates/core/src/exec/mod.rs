@@ -14,13 +14,14 @@
 //!   sharding across N instances, with the HLS-derived per-N cost model;
 //! * `stripes` — pure stripe-planning geometry under bank capacity;
 //! * `model` — [`BackendKind::Model`]: closed-form cycles, functional
-//!   arithmetic from the golden reference (fast; the default);
+//!   arithmetic from the golden reference (the library default);
 //! * `cycle` — [`BackendKind::Cycle`]: cycle-exact simulation of all
 //!   kernels on the `zskip-sim` engine (slow; for validation);
 //! * `cpu` — [`BackendKind::Cpu`]: functional results from the
 //!   `zskip-nn` SIMD `_into` kernels on a per-session [`Scratch`] arena,
-//!   cycles estimated by the closed-form model (the fastest functional
-//!   path).
+//!   cycles from the closed-form model, computed once per network and
+//!   configuration into a cached stats plan that later images replay
+//!   (the fastest functional path; the CLI default).
 //!
 //! All backends are bit-identical in output and DMA-fault behaviour, and
 //! Model/Cpu are cycle-identical — see `tests/backend_equivalence.rs`
@@ -47,12 +48,14 @@ use zskip_tensor::{Shape, TiledFeatureMap};
 /// Which execution backend computes each stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Transaction-level model: closed-form cycles (fast; default).
+    /// Transaction-level model: closed-form cycles (fast; the library
+    /// default).
     Model,
     /// Cycle-exact simulation of all kernels (slow; for validation).
     Cycle,
     /// Host SIMD kernels for the arithmetic, closed-form cycle model for
-    /// the statistics (fastest functional path).
+    /// the statistics, computed once per network (fastest functional
+    /// path; the CLI default).
     Cpu,
 }
 
@@ -106,6 +109,11 @@ pub struct PassCtx<'a> {
     /// DDR address of the region the pass's output feature map is
     /// written back to.
     pub dst_addr: usize,
+    /// This pass's statistics from the network's cached stats plan, when
+    /// the driver has one (cpu backend only; see `exec::cpu`). A backend
+    /// whose statistics are value-independent returns these instead of
+    /// running the staged pipeline; `None` means run it.
+    pub cached_stats: Option<&'a PassStats>,
 }
 
 /// One execution target for the staged per-layer pipeline.
@@ -119,9 +127,11 @@ pub struct PassCtx<'a> {
 /// * **Shared pipeline.** Stripe planning, DDR staging and DMA issue go
 ///   through [`pipeline`] so DMA traffic and injected `dma:*` faults
 ///   behave identically across backends (fault detection is
-///   value-independent).
+///   value-independent). A pass handed [`PassCtx::cached_stats`] may skip
+///   it: the driver supplies those only when no fault plan is attached.
 /// * **Honest statistics.** `PassStats` cycles must come from an actual
-///   execution or a validated model of one — never fabricated.
+///   execution or a validated model of one (or a cached earlier run of
+///   that model) — never fabricated.
 ///
 /// See `docs/ARCHITECTURE.md` for how to add a backend.
 pub trait StripeBackend {

@@ -30,6 +30,7 @@ use crate::weights::GroupWeights;
 use std::sync::{Arc, OnceLock};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
+use zskip_nn::model::QuantizedNetwork;
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::grouping::FilterGrouping;
 use zskip_quant::Sm8;
@@ -205,6 +206,80 @@ fn group_cache() -> &'static WeightCache<PackedLayerWeights> {
 /// hits, misses, resident bytes) — surfaced by `zskip analyze`.
 pub fn weight_cache_stats() -> CacheStats {
     group_cache().stats()
+}
+
+/// A network's value-independent run statistics under one
+/// stats-relevant configuration: every accelerator pass's [`PassStats`]
+/// in the order the driver's plan walk issues them, plus the run's DDR
+/// traffic. Cycle counts, activity counters and DMA traffic depend only
+/// on the layer geometry, the packed weights and the configuration — never
+/// on activation values — so one staged-pipeline run yields them for every
+/// later image (the cpu backend's cache-hit path, see `exec::cpu`).
+pub(crate) struct StatsPlan {
+    /// One entry per backend pass (pad, conv or pool), in execution order.
+    pub(crate) passes: Vec<PassStats>,
+    /// Total DDR bytes read and written by the run.
+    pub(crate) ddr_bytes: u64,
+}
+
+impl StatsPlan {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.passes.capacity() * std::mem::size_of::<PassStats>()
+            + self
+                .passes
+                .iter()
+                .map(|p| p.per_instance_cycles.capacity() * std::mem::size_of::<u64>())
+                .sum::<usize>()
+    }
+}
+
+/// The process-wide stats-plan cache, keyed by [`stats_plan_key`].
+pub(crate) fn stats_cache() -> &'static WeightCache<StatsPlan> {
+    static CACHE: OnceLock<WeightCache<StatsPlan>> = OnceLock::new();
+    CACHE.get_or_init(WeightCache::new)
+}
+
+/// Statistics of the process-wide stats-plan cache (entries, hits,
+/// misses, resident bytes) — surfaced by `zskip analyze`.
+pub fn stats_cache_stats() -> CacheStats {
+    stats_cache().stats()
+}
+
+/// The stats-plan cache key of running `qnet` under `driver`: the spec's
+/// layer geometry and input shape, every conv layer's weight content, every
+/// [`AccelConfig`](crate::AccelConfig) field, and the zero-skipping and
+/// filter-grouping flags. Knobs that cannot change statistics (threads,
+/// kernel tier, park hysteresis, batch shaping) stay out, so sessions
+/// differing only in those share one entry.
+pub(crate) fn stats_plan_key(driver: &Driver, qnet: &QuantizedNetwork) -> u64 {
+    // Destructured so a new configuration field fails to compile here
+    // until it is either keyed or argued stats-neutral.
+    let crate::AccelConfig {
+        units,
+        lanes,
+        instances,
+        bank_tiles,
+        clock_mhz,
+        fifo_depth,
+        weight_bytes_per_cycle,
+        scratchpad_bytes,
+    } = driver.config;
+    // The key lives only as long as the process, so the spec's `Debug`
+    // rendering (every field, `Ref`/`Add` targets as layer indices) is a
+    // complete and deterministic encoding of its geometry.
+    let fp = Fingerprint::new()
+        .bytes(format!("{:?}", qnet.spec).as_bytes())
+        .u64(units as u64)
+        .u64(lanes as u64)
+        .u64(instances as u64)
+        .u64(bank_tiles as u64)
+        .u64(clock_mhz.to_bits())
+        .u64(fifo_depth as u64)
+        .u64(weight_bytes_per_cycle as u64)
+        .u64(scratchpad_bytes as u64)
+        .u64(driver.zero_skipping as u64)
+        .u64(driver.filter_grouping as u64);
+    qnet.conv.iter().fold(fp, |fp, c| fp.u64(c.weights.fingerprint())).finish()
 }
 
 /// Resolves (building on first use) the packed group weights for a conv

@@ -149,7 +149,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Toggles the process-wide packed-weight cache
+    /// Toggles the process-wide packed-weight and stats-plan caches
     /// (see [`DriverBuilder::weight_cache`]).
     pub fn weight_cache(mut self, on: bool) -> SessionBuilder {
         self.driver = self.driver.weight_cache(on);

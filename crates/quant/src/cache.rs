@@ -122,10 +122,19 @@ impl<V> WeightCache<V> {
         built
     }
 
-    /// Returns the entry for `key` if resident, without counting a miss.
+    /// Returns the entry for `key` if resident, counting a hit. An absent
+    /// key counts nothing: a caller that cannot build the artifact up
+    /// front (it falls out of a fallible computation) looks up with `get`
+    /// and, once it has one, inserts with
+    /// [`get_or_insert_with`](WeightCache::get_or_insert_with), which
+    /// counts the miss.
     pub fn get(&self, key: u64) -> Option<Arc<V>> {
         let guard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        guard.iter().find(|(k, _)| *k == key).map(|(_, v)| Arc::clone(v))
+        let found = guard.iter().find(|(k, _)| *k == key).map(|(_, v)| Arc::clone(v));
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
     }
 
     /// Snapshot of hit/miss/residency counters.
@@ -274,6 +283,8 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries, s.bytes), (2, 1, 1, 100));
         assert!(cache.get(42).is_some());
         assert!(cache.get(43).is_none());
+        // A resident `get` is a hit; an absent one counts nothing.
+        assert_eq!((cache.stats().hits, cache.stats().misses), (3, 1));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 
@@ -76,6 +76,16 @@ timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 -
 analyze_out=$(timeout 300 ./target/release/zskip analyze --network specs/resnet18.json)
 printf '%s\n' "$analyze_out" | grep -q 'branch point' \
   || { echo "verify: analyze --network did not report the residual branch points"; exit 1; }
+
+# Cached stats plan: on one worker, images 2-4 of a cpu batch replay the
+# statistics the first image recorded, so every per-image cycle line
+# must equal the model backend's, which recomputes them per image.
+cpu_lines=$(timeout 300 ./target/release/zskip batch --network specs/resnet18.json --hw 32 --n 4 --workers 1 --backend cpu | grep '^  image')
+model_lines=$(timeout 300 ./target/release/zskip batch --network specs/resnet18.json --hw 32 --n 4 --workers 1 --backend model | grep '^  image')
+[ "$(printf '%s\n' "$cpu_lines" | wc -l)" -eq 4 ] \
+  || { echo "verify: cpu batch did not print 4 image lines"; exit 1; }
+[ "$cpu_lines" = "$model_lines" ] \
+  || { echo "verify: cpu (cached stats) and model per-image cycle lines differ"; exit 1; }
 
 # Malformed specs must fail closed with the stable machine-readable code
 # and exit 2 (scripted callers branch on both).

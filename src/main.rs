@@ -103,8 +103,8 @@ const NETWORK_SPEC_HELP: &str =
     "JSON network-spec file (e.g. specs/resnet18.json; see docs/NETWORKS.md) instead of the built-in VGG-16";
 const DENSITY_HELP: &str = "weight density: 'dc' (deep-compression VGG-16 profile) or a fraction";
 const VARIANT_HELP: &str = "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt";
-const BACKEND_HELP: &str =
-    "execution backend: model (transaction-level) | cycle (cycle-exact) | cpu (host SIMD)";
+const BACKEND_HELP: &str = "execution backend: cpu (host SIMD kernels, cached model stats) | \
+     model (transaction-level) | cycle (cycle-exact)";
 const THREADS_HELP: &str =
     "intra-image conv worker threads for the cpu backend (0 = host auto; others ignore)";
 
@@ -120,7 +120,7 @@ const SEARCHER_CHOICES: &[&str] = &["cd", "spsa"];
 /// The session knobs every inference-running subcommand shares; resolved
 /// into a [`TunedConfig`] by [`resolve_config`].
 const SESSION_FLAGS: &[Flag] = &[
-    Flag::choice("--backend", "B", "model", BACKEND_CHOICES, BACKEND_HELP),
+    Flag::choice("--backend", "B", "cpu", BACKEND_CHOICES, BACKEND_HELP),
     Flag::val("--threads", "T", "0", THREADS_HELP),
     Flag::choice(
         "--kernel",
@@ -129,7 +129,7 @@ const SESSION_FLAGS: &[Flag] = &[
         KERNEL_CHOICES,
         "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512",
     ),
-    Flag::choice("--weight-cache", "on|off", "on", ONOFF_CHOICES, "process-wide packed-weight cache"),
+    Flag::choice("--weight-cache", "on|off", "on", ONOFF_CHOICES, "process-wide packed-weight and stats-plan caches"),
 ];
 
 /// The synthetic-network knobs shared by inference subcommands.
@@ -488,9 +488,11 @@ fn resolve_config(p: &Parsed) -> ResolvedConfig {
     let source = p.get("--config").map(str::to_string);
     let mut config = match &source {
         Some(path) => TunedConfig::load(path).unwrap_or_else(|e| fail_invalid(&e.to_string())),
-        // The CLI's historical default is threads 0 (host auto), not the
-        // builder's pinned single thread.
-        None => TunedConfig { threads: 0, ..TunedConfig::default() },
+        // The CLI defaults to the cpu backend (output- and cycle-identical
+        // to Model, with the per-network stats computed once) and threads
+        // 0 (host auto), not the builder's model backend and pinned
+        // single thread.
+        None => TunedConfig { backend: BackendKind::Cpu, threads: 0, ..TunedConfig::default() },
     };
     let loaded = source.is_some();
     let mut overrides = Vec::new();
@@ -1149,17 +1151,21 @@ fn analyze(p: &Parsed) {
         steady
     );
 
-    // Shared weight caches: drive one image through the cpu backend so the
-    // packed-group cache is populated the way `infer`/`batch` populate it,
-    // then report both process-wide caches (packed scratchpad groups keyed
-    // by weight identity + lane/skip geometry, and the nn kernels' packed
+    // Shared caches: drive two images through the cpu backend so the
+    // caches are populated the way `infer`/`batch` populate them, then
+    // report the process-wide caches (packed scratchpad groups keyed by
+    // weight identity + lane/skip geometry, per-network stats plans — the
+    // second image replays the first's — and the nn kernels' packed
     // per-filter tap streams).
     let cpu_driver = Driver::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
         .expect("cpu driver builds");
-    let _ = cpu_driver.run_network(&sq, &probe[0]).expect("surrogate image runs");
+    for image in probe.iter().take(2) {
+        let _ = cpu_driver.run_network(&sq, image).expect("surrogate image runs");
+    }
     let gc = zskip::accel::weight_cache_stats();
+    let sc = zskip::accel::stats_cache_stats();
     let tc = zskip::nn::conv::tap_cache_stats();
     println!(
         "Packed-group weight cache: {} entries ({:.1} MiB), {} hits / {} misses",
@@ -1167,6 +1173,13 @@ fn analyze(p: &Parsed) {
         gc.bytes as f64 / (1 << 20) as f64,
         gc.hits,
         gc.misses
+    );
+    println!(
+        "Stats-plan cache:          {} entries ({:.1} KiB), {} hits / {} misses",
+        sc.entries,
+        sc.bytes as f64 / 1024.0,
+        sc.hits,
+        sc.misses
     );
     println!(
         "Packed-tap kernel cache:   {} entries ({:.1} MiB), {} hits / {} misses",

@@ -7,18 +7,26 @@
 //!   closed-form model, so their cycle counts and DDR byte counts are
 //!   *equal*, not merely close; Cycle agrees within the documented
 //!   tolerance.
+//! * **Cached statistics**: the cpu backend computes a network's
+//!   statistics once and replays them on later images, so every
+//!   equivalence check also runs a second, distinct input through the
+//!   cache-hit path, and a key-sensitivity test interleaves configurations
+//!   that must never share an entry.
 //! * **Transient faults**: the staged pipeline issues the same DMA
 //!   descriptor sequence on every backend, and DMA fault detection is
 //!   value-independent — an injected `dma:*` fault must surface as the
 //!   same structured error everywhere.
 
 use proptest::prelude::*;
-use zskip::accel::{AccelConfig, BackendKind, Driver, DriverError, Error};
+use zskip::accel::{
+    AccelConfig, BackendKind, Driver, DriverError, Error, InferenceReport, PassStats,
+};
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
+use zskip::nn::plan::ExecPlan;
 use zskip::quant::DensityProfile;
 use zskip::soc::dma::DmaError;
 use zskip::tensor::{Shape, Tensor};
@@ -219,12 +227,67 @@ fn quantize_spec(spec: &NetworkSpec, density: f64, seed: u64) -> (QuantizedNetwo
     (qnet, input)
 }
 
+/// Every field of a pass's statistics, with the activity counters as
+/// (name, value) pairs in name order.
+type StatsFields = (u64, Vec<u64>, u64, u64, u64, usize, u64, Vec<(&'static str, u64)>);
+
+fn stats_fields(s: &PassStats) -> StatsFields {
+    let mut counters: Vec<_> = s.counters.iter().collect();
+    counters.sort_unstable();
+    (
+        s.compute_cycles,
+        s.per_instance_cycles.clone(),
+        s.io_dma_cycles,
+        s.weight_dma_cycles,
+        s.total_cycles,
+        s.stripes,
+        s.striping_factor.to_bits(),
+        counters,
+    )
+}
+
+/// `got` equals `want` field for field: output, every layer's name and
+/// `PassStats`, total cycles and DDR bytes.
+fn assert_same_report(got: &InferenceReport, want: &InferenceReport, what: &str) {
+    assert_eq!(got.output, want.output, "{what}: output");
+    assert_eq!(got.total_cycles, want.total_cycles, "{what}: total cycles");
+    assert_eq!(got.ddr_bytes, want.ddr_bytes, "{what}: DDR bytes");
+    assert_eq!(got.layers.len(), want.layers.len(), "{what}: layer count");
+    for (g, w) in got.layers.iter().zip(&want.layers) {
+        assert_eq!(g.name, w.name, "{what}: layer order");
+        assert_eq!(g.is_conv, w.is_conv, "{what}: layer {}", g.name);
+        assert_eq!(g.dense_macs, w.dense_macs, "{what}: layer {}", g.name);
+        assert_eq!(stats_fields(&g.stats), stats_fields(&w.stats), "{what}: layer {}", g.name);
+    }
+}
+
+/// Model and Cpu (single- and multi-threaded) agree field for field on
+/// `input` and then on a second, distinct input — the latter served from
+/// the cpu backend's cached stats plan.
+fn check_cpu_matches_model(qnet: &QuantizedNetwork, input: &Tensor<f32>, seed: u64) {
+    let cfg = config(2048, 1);
+    let model = Driver::builder(cfg).backend(BackendKind::Model).build().unwrap();
+    let cpu = Driver::builder(cfg).backend(BackendKind::Cpu).build().unwrap();
+    // Intra-image multithreaded cpu backend: panel decomposition over a
+    // 3-worker pool must not change outputs or statistics either.
+    let mt = Driver::builder(cfg).backend(BackendKind::Cpu).threads(3).build().unwrap();
+    let second = synthetic_inputs(seed ^ 3, 1, qnet.spec.input).pop().expect("one");
+    assert_ne!(&second, input, "the second input must differ from the first");
+    for (i, x) in [input, &second].into_iter().enumerate() {
+        let want = model.run_network(qnet, x).expect("fits");
+        assert_eq!(want.output, qnet.forward_quant(x), "model vs golden, input {i}");
+        assert_same_report(&cpu.run_network(qnet, x).expect("fits"), &want, &format!("cpu, input {i}"));
+        assert_same_report(&mt.run_network(qnet, x).expect("fits"), &want, &format!("cpu x3, input {i}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Model and Cpu: bit-identical outputs AND identical statistics on
-    /// random specs (both run the same staged pipeline and closed-form
-    /// cycle model; only the functional arithmetic engine differs).
+    /// random specs (both charge the same closed-form cycle model; only
+    /// the functional arithmetic engine differs), on a first image and on
+    /// a second one served from the cached stats plan.
     #[test]
     fn cpu_and_model_backends_are_equivalent_on_random_specs(
         spec in network_strategy(),
@@ -232,35 +295,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let (qnet, input) = quantize_spec(&spec, density, seed);
-        let cfg = config(2048, 1);
-        let model = Driver::builder(cfg).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let cpu = Driver::builder(cfg).backend(BackendKind::Cpu).build().unwrap().run_network(&qnet, &input).expect("fits");
-        // Intra-image multithreaded cpu backend: panel decomposition over a
-        // 3-worker pool must not change outputs or statistics either.
-        let mt = Driver::builder(cfg)
-            .backend(BackendKind::Cpu)
-            .threads(3)
-            .build()
-            .expect("valid config")
-            .run_network(&qnet, &input)
-            .expect("fits");
-        prop_assert_eq!(&model.output, &qnet.forward_quant(&input));
-        prop_assert_eq!(&cpu.output, &model.output);
-        prop_assert_eq!(&mt.output, &model.output);
-        prop_assert_eq!(cpu.total_cycles, model.total_cycles);
-        prop_assert_eq!(mt.total_cycles, model.total_cycles);
-        prop_assert_eq!(cpu.ddr_bytes, model.ddr_bytes);
-        prop_assert_eq!(mt.ddr_bytes, model.ddr_bytes);
-        prop_assert_eq!(cpu.layers.len(), model.layers.len());
-        for (c, m) in cpu.layers.iter().zip(&model.layers) {
-            prop_assert_eq!(&c.name, &m.name);
-            prop_assert_eq!(c.stats.total_cycles, m.stats.total_cycles);
-            prop_assert_eq!(c.stats.compute_cycles, m.stats.compute_cycles);
-            prop_assert_eq!(c.stats.io_dma_cycles, m.stats.io_dma_cycles);
-            prop_assert_eq!(c.stats.weight_dma_cycles, m.stats.weight_dma_cycles);
-            prop_assert_eq!(c.stats.stripes, m.stats.stripes);
-            prop_assert_eq!(c.stats.counters.get("macs"), m.stats.counters.get("macs"));
-        }
+        check_cpu_matches_model(&qnet, &input, seed);
     }
 }
 
@@ -269,7 +304,8 @@ proptest! {
 
     /// Model and Cpu on random *DAG* specs — skip connections, 1x1
     /// projections, folded batch-norm, GAP heads: bit-identical outputs
-    /// and identical per-layer statistics, single- and multi-threaded.
+    /// and identical per-layer statistics, single- and multi-threaded, on
+    /// a first image and on a second one served from the stats plan.
     #[test]
     fn cpu_and_model_backends_are_equivalent_on_dag_specs(
         spec in dag_network_strategy(),
@@ -277,32 +313,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let (qnet, input) = quantize_spec(&spec, density, seed);
-        let cfg = config(2048, 1);
-        let model = Driver::builder(cfg).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let cpu = Driver::builder(cfg).backend(BackendKind::Cpu).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let mt = Driver::builder(cfg)
-            .backend(BackendKind::Cpu)
-            .threads(3)
-            .build()
-            .expect("valid config")
-            .run_network(&qnet, &input)
-            .expect("fits");
-        prop_assert_eq!(&model.output, &qnet.forward_quant(&input));
-        prop_assert_eq!(&cpu.output, &model.output);
-        prop_assert_eq!(&mt.output, &model.output);
-        prop_assert_eq!(cpu.total_cycles, model.total_cycles);
-        prop_assert_eq!(mt.total_cycles, model.total_cycles);
-        prop_assert_eq!(cpu.ddr_bytes, model.ddr_bytes);
-        prop_assert_eq!(cpu.layers.len(), model.layers.len());
-        for (c, m) in cpu.layers.iter().zip(&model.layers) {
-            prop_assert_eq!(&c.name, &m.name);
-            prop_assert_eq!(c.stats.total_cycles, m.stats.total_cycles);
-            prop_assert_eq!(c.stats.compute_cycles, m.stats.compute_cycles);
-            prop_assert_eq!(c.stats.io_dma_cycles, m.stats.io_dma_cycles);
-            prop_assert_eq!(c.stats.weight_dma_cycles, m.stats.weight_dma_cycles);
-            prop_assert_eq!(c.stats.stripes, m.stats.stripes);
-            prop_assert_eq!(c.stats.counters.get("macs"), m.stats.counters.get("macs"));
-        }
+        check_cpu_matches_model(&qnet, &input, seed);
     }
 }
 
@@ -526,6 +537,90 @@ fn layer_too_large_is_reported_identically() {
                 assert!(needed > capacity);
             }
             other => panic!("expected LayerTooLarge on {backend}, got {other:?}"),
+        }
+    }
+}
+
+/// The driver rejects an input whose shape is not the spec's input shape
+/// on every backend, instead of running it (and, on cpu, attaching the
+/// spec's cached statistics to it).
+#[test]
+fn mismatched_input_shape_is_an_invalid_network_on_every_backend() {
+    let spec = NetworkSpec {
+        name: "eight".into(),
+        input: Shape::new(2, 8, 8),
+        layers: vec![conv3x3("c1", 2, 4)],
+    };
+    let (qnet, input) = quantize_spec(&spec, 0.5, 5);
+    let wrong = synthetic_inputs(6, 1, Shape::new(2, 16, 16)).pop().expect("one");
+    for backend in BackendKind::ALL {
+        let driver = Driver::builder(config(4096, 1)).backend(backend).build().unwrap();
+        // Before and after a clean run (which warms the cpu stats plan).
+        for _ in 0..2 {
+            let err = driver.run_network(&qnet, &wrong).unwrap_err();
+            assert!(
+                matches!(err, DriverError::InvalidNetwork(ref r) if r.contains("input shape")),
+                "{backend}: {err:?}"
+            );
+            assert_eq!(Error::from(err).code(), "driver.invalid-network", "{backend}");
+            driver.run_network(&qnet, &input).expect("the spec's own shape runs");
+        }
+    }
+}
+
+/// The stats-plan key must separate every statistics-relevant knob: one
+/// network runs on cpu under configurations differing in bank capacity,
+/// instance count, zero-skipping and filter grouping — plus a same-spec
+/// network at another density and the same weights on a larger input —
+/// interleaved over two rounds so every run after the first round is a
+/// cache hit next to its neighbours' entries. Each report must equal
+/// Model's under the same configuration.
+#[test]
+fn stats_plan_key_separates_every_stats_relevant_knob() {
+    let spec = NetworkSpec {
+        name: "fcn".into(),
+        input: Shape::new(3, 12, 12),
+        layers: vec![conv3x3("c1", 3, 6), maxpool2x2("p1"), conv3x3("c2", 6, 9)],
+    };
+    let (sparse, _) = quantize_spec(&spec, 0.3, 123);
+    let (dense, _) = quantize_spec(&spec, 0.9, 123);
+    // Same weights, larger input: only the spec's geometry differs.
+    let mut resized = sparse.clone();
+    resized.spec.input = Shape::new(3, 16, 16);
+    resized.plan = ExecPlan::build(&resized.spec).unwrap();
+    let nets = [("density 0.3", &sparse), ("density 0.9", &dense), ("16x16", &resized)];
+    type Knobs = (usize, usize, bool, bool);
+    let variants: [Knobs; 6] = [
+        (4096, 1, true, false),
+        (20, 1, true, false),
+        (4096, 2, true, false),
+        (20, 2, true, false),
+        (4096, 1, false, false),
+        (4096, 1, true, true),
+    ];
+    for round in 0..2u64 {
+        for (net, qnet) in nets {
+            let x = synthetic_inputs(round, 1, qnet.spec.input).pop().expect("one");
+            for (bank_tiles, instances, zero_skipping, filter_grouping) in variants {
+                let build = |backend| {
+                    Driver::builder(config(bank_tiles, instances))
+                        .backend(backend)
+                        .zero_skipping(zero_skipping)
+                        .filter_grouping(filter_grouping)
+                        .build()
+                        .unwrap()
+                };
+                let want = build(BackendKind::Model).run_network(qnet, &x).unwrap();
+                let got = build(BackendKind::Cpu).run_network(qnet, &x).unwrap();
+                assert_same_report(
+                    &got,
+                    &want,
+                    &format!(
+                        "round {round}, {net}, bank_tiles {bank_tiles}, instances {instances}, \
+                         zero_skipping {zero_skipping}, filter_grouping {filter_grouping}"
+                    ),
+                );
+            }
         }
     }
 }
