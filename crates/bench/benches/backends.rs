@@ -71,7 +71,7 @@ fn backends(c: &mut Criterion) {
     g.bench_function("model_conv_8x8x16", |b| {
         b.iter(|| {
             let mut bk = banks.clone();
-            let out = model::run_instructions(&cfg, &mut bk, &scratchpad, &instrs, &mut Counters::new());
+            let out = model::run_instructions_with_mode(&cfg, &mut bk, &scratchpad, &instrs, &mut Counters::new(), true);
             black_box(out.cycles)
         })
     });

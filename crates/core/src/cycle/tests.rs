@@ -542,7 +542,7 @@ fn mixed_instruction_stream_chains_correctly() {
     let tiled = TiledFeatureMap::from_tensor(&input);
     raw.store(&mut model_banks, &tiled, 0..tiled.tiles_y());
     let gw2 = GroupWeights::from_filters(&qw, 0, cfg.lanes);
-    crate::model::run_instructions(&cfg, &mut model_banks, &gw2.to_bytes(), &stream, &mut zskip_sim::Counters::new());
+    crate::model::run_instructions_with_mode(&cfg, &mut model_banks, &gw2.to_bytes(), &stream, &mut zskip_sim::Counters::new(), true);
     let mut got2 = TiledFeatureMap::zeros(pool_shape);
     pool_out.load(&model_banks, &mut got2, 0..pool_out.tile_rows);
     assert_eq!(got2.to_tensor().cropped(h / 2, w / 2), want);

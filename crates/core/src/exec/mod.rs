@@ -79,19 +79,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<BackendKind, String> {
-        match s {
-            "model" => Ok(BackendKind::Model),
-            "cycle" => Ok(BackendKind::Cycle),
-            "cpu" => Ok(BackendKind::Cpu),
-            other => Err(format!("unknown backend '{other}' (use model | cycle | cpu)")),
-        }
-    }
-}
-
 /// Per-pass execution context a [`StripeBackend`] runs against: the
 /// driver configuration, the SoC models (DDR + DMA) shared across the
 /// layers of one inference, and the session's scratch arena.
@@ -176,17 +163,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_names_round_trip() {
+    fn backend_display_is_the_name() {
         for kind in BackendKind::ALL {
-            assert_eq!(kind.name().parse::<BackendKind>(), Ok(kind));
             assert_eq!(kind.to_string(), kind.name());
         }
-    }
-
-    #[test]
-    fn unknown_backend_name_is_an_error() {
-        let err = "gpu".parse::<BackendKind>().unwrap_err();
-        assert!(err.contains("unknown backend 'gpu'"), "{err}");
-        assert!(err.contains("model | cycle | cpu"), "{err}");
     }
 }

@@ -113,22 +113,6 @@ impl std::fmt::Display for Placement {
     }
 }
 
-impl std::str::FromStr for Placement {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Placement, String> {
-        match s {
-            "auto" => Ok(Placement::Auto),
-            "stripe" => Ok(Placement::Stripe),
-            "image" => Ok(Placement::Image),
-            "pipeline" => Ok(Placement::Pipeline),
-            other => {
-                Err(format!("unknown placement '{other}' (use auto | stripe | image | pipeline)"))
-            }
-        }
-    }
-}
-
 /// The HLS-derived cost of running N instances: the smallest device of
 /// the scale-out ladder that fits them, and the congestion-derated
 /// operating clock there. This is what makes cross-N comparisons honest:
@@ -727,18 +711,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn placement_names_round_trip() {
+    fn placement_display_is_the_name() {
         for p in Placement::ALL {
-            assert_eq!(p.name().parse::<Placement>(), Ok(p));
             assert_eq!(p.to_string(), p.name());
         }
-    }
-
-    #[test]
-    fn unknown_placement_name_is_an_error() {
-        let err = "diagonal".parse::<Placement>().unwrap_err();
-        assert!(err.contains("unknown placement 'diagonal'"), "{err}");
-        assert!(err.contains("auto | stripe | image | pipeline"), "{err}");
     }
 
     #[test]

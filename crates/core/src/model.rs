@@ -48,52 +48,15 @@ pub struct ModelOutcome {
     pub counters: Counters,
 }
 
-/// Executes one instruction functionally and returns its cycle cost.
-///
-/// # Panics
-/// Panics if the instruction references data outside the banks or a
-/// malformed scratchpad — the driver constructs both.
-pub fn run_instruction(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instr: &Instruction,
-    counters: &mut Counters,
-) -> u64 {
-    run_instruction_with_mode(config, banks, scratchpad, instr, counters, true)
-}
-
-/// Like [`run_instruction`], but with `functional = false` only cycle
-/// costs and counters are produced (bank contents untouched). Cycle counts
-/// never depend on activation values — only on weight sparsity and
+/// Executes a whole instruction stream. With `functional = false` only
+/// cycle costs and counters are produced (bank contents untouched). Cycle
+/// counts never depend on activation values — only on weight sparsity and
 /// geometry — so sweeps that report throughput alone can skip the
 /// arithmetic.
-pub fn run_instruction_with_mode(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instr: &Instruction,
-    counters: &mut Counters,
-    functional: bool,
-) -> u64 {
-    match instr {
-        Instruction::Conv(i) => run_conv(config, banks, scratchpad, i, counters, functional),
-        Instruction::PoolPad(i) => run_poolpad(config, banks, i, counters, functional),
-    }
-}
-
-/// Executes a whole instruction stream.
-pub fn run_instructions(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instructions: &[Instruction],
-    counters: &mut Counters,
-) -> ModelOutcome {
-    run_instructions_with_mode(config, banks, scratchpad, instructions, counters, true)
-}
-
-/// Stream variant of [`run_instruction_with_mode`].
+///
+/// # Panics
+/// Panics if an instruction references data outside the banks or a
+/// malformed scratchpad — the driver constructs both.
 pub fn run_instructions_with_mode(
     config: &AccelConfig,
     banks: &mut BankSet,
@@ -104,7 +67,10 @@ pub fn run_instructions_with_mode(
 ) -> ModelOutcome {
     let mut cycles = 0;
     for i in instructions {
-        cycles += run_instruction_with_mode(config, banks, scratchpad, i, counters, functional);
+        cycles += match i {
+            Instruction::Conv(c) => run_conv(config, banks, scratchpad, c, counters, functional),
+            Instruction::PoolPad(p) => run_poolpad(config, banks, p, counters, functional),
+        };
     }
     // Shared per-run epilogue (shutdown propagation).
     cycles += 4;
@@ -445,7 +411,7 @@ mod tests {
 
         let cyc = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap();
         let mut model_banks = banks;
-        run_instructions(&cfg, &mut model_banks, &scratch, &instrs, &mut Counters::new());
+        run_instructions_with_mode(&cfg, &mut model_banks, &scratch, &instrs, &mut Counters::new(), true);
 
         let mut a = TiledFeatureMap::zeros(out_shape);
         let mut b = TiledFeatureMap::zeros(out_shape);
@@ -463,7 +429,7 @@ mod tests {
         let cyc = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap();
         let mut model_banks = banks;
         let mut counters = Counters::new();
-        run_instructions(&cfg, &mut model_banks, &scratch, &instrs, &mut counters);
+        run_instructions_with_mode(&cfg, &mut model_banks, &scratch, &instrs, &mut counters, true);
         for key in ["macs", "weights_applied", "bubble_lanes", "ofm_tiles_written"] {
             assert_eq!(counters.get(key), cyc.counters.get(key), "counter {key}");
         }
@@ -478,7 +444,7 @@ mod tests {
         let n = instrs.len();
         let sim = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap().cycles;
         let mut b = banks;
-        let model = run_instructions(&cfg, &mut b, &scratch, &instrs, &mut Counters::new()).cycles;
+        let model = run_instructions_with_mode(&cfg, &mut b, &scratch, &instrs, &mut Counters::new(), true).cycles;
         assert_cycles_close(model, sim, n);
     }
 
@@ -492,7 +458,7 @@ mod tests {
         let n = instrs.len();
         let sim = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap().cycles;
         let mut b = banks;
-        let model = run_instructions(&cfg, &mut b, &scratch, &instrs, &mut Counters::new()).cycles;
+        let model = run_instructions_with_mode(&cfg, &mut b, &scratch, &instrs, &mut Counters::new(), true).cycles;
         assert_cycles_close(model, sim, n);
     }
 
@@ -513,7 +479,7 @@ mod tests {
             let (banks, scratch, instrs, out_layout, out_shape) = build_conv(&cfg, &qw, &input);
             let cyc = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 100_000_000).unwrap();
             let mut model_banks = banks;
-            let model = run_instructions(&cfg, &mut model_banks, &scratch, &instrs, &mut Counters::new());
+            let model = run_instructions_with_mode(&cfg, &mut model_banks, &scratch, &instrs, &mut Counters::new(), true);
 
             // Functional equality.
             let mut a = TiledFeatureMap::zeros(out_shape);
@@ -553,7 +519,7 @@ mod tests {
         });
         let cyc = cycle::run_instructions(&cfg, banks.clone(), Vec::new(), &[instr], 1_000_000).unwrap();
         let mut model_banks = banks;
-        let model = run_instructions(&cfg, &mut model_banks, &[], &[instr], &mut Counters::new());
+        let model = run_instructions_with_mode(&cfg, &mut model_banks, &[], &[instr], &mut Counters::new(), true);
 
         let mut a = TiledFeatureMap::zeros(out_shape);
         let mut b = TiledFeatureMap::zeros(out_shape);
@@ -618,7 +584,7 @@ mod pool_proptests {
             });
             let cyc = cycle::run_instructions(&cfg, banks.clone(), Vec::new(), &[instr], 10_000_000).unwrap();
             let mut model_banks = banks;
-            let model = run_instructions(&cfg, &mut model_banks, &[], &[instr], &mut Counters::new());
+            let model = run_instructions_with_mode(&cfg, &mut model_banks, &[], &[instr], &mut Counters::new(), true);
 
             let mut a = TiledFeatureMap::zeros(out_shape);
             let mut b = TiledFeatureMap::zeros(out_shape);

@@ -402,20 +402,17 @@ pub(crate) mod tests {
         }
     }
 
-    // Migrated from the driver's deprecated-shim tests: the builder is
-    // the only sanctioned construction path (nothing in-repo calls the
-    // deprecated `Driver::new`/`Driver::stats_only` anymore), so what
-    // those tests pinned — the legacy defaults and structured rejection
-    // of invalid configurations — is asserted on `SessionBuilder` here.
+    // The builder is the only construction path: these pin its defaults
+    // and its structured rejection of invalid configurations.
     #[test]
     fn builder_provides_the_legacy_driver_defaults() {
         let session = Session::builder(config()).backend(BackendKind::Cycle).build().unwrap();
         assert_eq!(session.driver().backend, BackendKind::Cycle);
-        assert!(session.driver().functional, "legacy Driver::new default");
-        assert!(session.driver().zero_skipping, "legacy Driver::new default");
+        assert!(session.driver().functional, "functional by default");
+        assert!(session.driver().zero_skipping, "zero-skipping by default");
 
         let stats = Session::builder(config()).functional(false).build().unwrap();
-        assert!(!stats.driver().functional, "the Driver::stats_only shape");
+        assert!(!stats.driver().functional, "stats-only");
         assert!(stats.driver().zero_skipping);
     }
 

@@ -20,6 +20,7 @@ use crate::exec::BackendKind;
 use crate::session::{
     SessionBuilder, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH,
 };
+use crate::tune::knobs::KNOBS;
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::simd::KernelTier;
@@ -64,6 +65,32 @@ impl ToJson for Provenance {
             ("evals", self.evals.to_json()),
             ("cache_hits", self.cache_hits.to_json()),
         ])
+    }
+}
+
+impl Provenance {
+    fn from_json(p: &Json) -> Result<Provenance, Error> {
+        let field = |name: &str| {
+            p.get(name)
+                .ok_or_else(|| invalid(format!("tuned config: provenance missing field '{name}'")))
+        };
+        let mistyped = |name: &str, kind: &str| {
+            invalid(format!("tuned config: provenance {name} must be {kind}"))
+        };
+        let int = |name: &str| field(name)?.as_u64().ok_or_else(|| mistyped(name, "an integer"));
+        let text = |name: &str| {
+            field(name)?.as_str().map(str::to_string).ok_or_else(|| mistyped(name, "a string"))
+        };
+        Ok(Provenance {
+            seed: int("seed")?,
+            budget: int("budget")?,
+            objective: text("objective")?,
+            space: text("space")?,
+            searcher: text("searcher")?,
+            score: field("score")?.as_f64().ok_or_else(|| mistyped("score", "a number"))?,
+            evals: int("evals")?,
+            cache_hits: int("cache_hits")?,
+        })
     }
 }
 
@@ -126,44 +153,14 @@ impl Default for TunedConfig {
     }
 }
 
-/// Looks up a variant by its serialized label (`Variant::label`).
-fn variant_from_label(label: &str) -> Option<Variant> {
-    Variant::all().into_iter().find(|v| v.label() == label)
-}
-
 fn invalid(reason: impl Into<String>) -> Error {
     Error::InvalidConfig(reason.into())
 }
 
 impl ToJson for TunedConfig {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version", ARTIFACT_VERSION.to_json()),
-            ("variant", self.variant.label().to_json()),
-            ("instances", self.instances.to_json()),
-            ("backend", self.backend.name().to_json()),
-            ("threads", self.threads.to_json()),
-            (
-                "kernel",
-                match self.kernel {
-                    Some(t) => t.name().to_json(),
-                    None => Json::Null,
-                },
-            ),
-            ("weight_cache", self.weight_cache.to_json()),
-            (
-                "park_hysteresis",
-                match self.park_hysteresis {
-                    Some(t) => (t as u64).to_json(),
-                    None => Json::Null,
-                },
-            ),
-            ("placement", self.placement.name().to_json()),
-            ("batch_workers", self.batch_workers.to_json()),
-            ("max_batch", self.max_batch.to_json()),
-            ("batch_window_ms", self.batch_window_ms.to_json()),
-            ("queue_depth", self.queue_depth.to_json()),
-        ];
+        let mut fields = vec![("version", ARTIFACT_VERSION.to_json())];
+        fields.extend(KNOBS.iter().map(|k| (k.name(), k.write_json(self))));
         if let Some(p) = &self.provenance {
             fields.push(("provenance", p.to_json()));
         }
@@ -190,109 +187,21 @@ impl TunedConfig {
         let field = |name: &str| -> Result<&Json, Error> {
             json.get(name).ok_or_else(|| invalid(format!("tuned config: missing field '{name}'")))
         };
-        let u64_field = |name: &str| -> Result<u64, Error> {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| invalid(format!("tuned config: field '{name}' must be an integer")))
-        };
-        let str_field = |name: &str| -> Result<&str, Error> {
-            field(name)?
-                .as_str()
-                .ok_or_else(|| invalid(format!("tuned config: field '{name}' must be a string")))
-        };
-        let version = u64_field("version")?;
+        let version = field("version")?
+            .as_u64()
+            .ok_or_else(|| invalid("tuned config: field 'version' must be an integer"))?;
         if version != ARTIFACT_VERSION {
             return Err(invalid(format!(
                 "tuned config: version {version} not supported (this build reads version {ARTIFACT_VERSION})"
             )));
         }
-        let variant_label = str_field("variant")?;
-        let variant = variant_from_label(variant_label)
-            .ok_or_else(|| invalid(format!("tuned config: unknown variant '{variant_label}'")))?;
-        let backend: BackendKind =
-            str_field("backend")?.parse().map_err(|e| invalid(format!("tuned config: {e}")))?;
-        let kernel = match field("kernel")? {
-            Json::Null => None,
-            j => {
-                let name = j.as_str().ok_or_else(|| {
-                    invalid("tuned config: field 'kernel' must be a string or null")
-                })?;
-                Some(
-                    KernelTier::parse(name)
-                        .ok_or_else(|| invalid(format!("tuned config: unknown kernel '{name}'")))?,
-                )
-            }
-        };
-        let park_hysteresis = match field("park_hysteresis")? {
-            Json::Null => None,
-            j => {
-                let ticks = j.as_u64().ok_or_else(|| {
-                    invalid("tuned config: field 'park_hysteresis' must be an integer or null")
-                })?;
-                Some(u32::try_from(ticks).map_err(|_| {
-                    invalid(format!("tuned config: park_hysteresis {ticks} out of range"))
-                })?)
-            }
-        };
-        let placement: Placement =
-            str_field("placement")?.parse().map_err(|e| invalid(format!("tuned config: {e}")))?;
-        let weight_cache = field("weight_cache")?
-            .as_bool()
-            .ok_or_else(|| invalid("tuned config: field 'weight_cache' must be a boolean"))?;
-        let provenance = match json.get("provenance") {
-            None => None,
-            Some(p) => {
-                let pfield = |name: &str| -> Result<&Json, Error> {
-                    p.get(name).ok_or_else(|| {
-                        invalid(format!("tuned config: provenance missing field '{name}'"))
-                    })
-                };
-                Some(Provenance {
-                    seed: pfield("seed")?
-                        .as_u64()
-                        .ok_or_else(|| invalid("tuned config: provenance seed must be an integer"))?,
-                    budget: pfield("budget")?
-                        .as_u64()
-                        .ok_or_else(|| invalid("tuned config: provenance budget must be an integer"))?,
-                    objective: pfield("objective")?
-                        .as_str()
-                        .ok_or_else(|| invalid("tuned config: provenance objective must be a string"))?
-                        .to_string(),
-                    space: pfield("space")?
-                        .as_str()
-                        .ok_or_else(|| invalid("tuned config: provenance space must be a string"))?
-                        .to_string(),
-                    searcher: pfield("searcher")?
-                        .as_str()
-                        .ok_or_else(|| invalid("tuned config: provenance searcher must be a string"))?
-                        .to_string(),
-                    score: pfield("score")?
-                        .as_f64()
-                        .ok_or_else(|| invalid("tuned config: provenance score must be a number"))?,
-                    evals: pfield("evals")?
-                        .as_u64()
-                        .ok_or_else(|| invalid("tuned config: provenance evals must be an integer"))?,
-                    cache_hits: pfield("cache_hits")?.as_u64().ok_or_else(|| {
-                        invalid("tuned config: provenance cache_hits must be an integer")
-                    })?,
-                })
-            }
-        };
-        Ok(TunedConfig {
-            variant,
-            instances: u64_field("instances")? as usize,
-            backend,
-            threads: u64_field("threads")? as usize,
-            kernel,
-            weight_cache,
-            park_hysteresis,
-            placement,
-            batch_workers: u64_field("batch_workers")? as usize,
-            max_batch: u64_field("max_batch")? as usize,
-            batch_window_ms: u64_field("batch_window_ms")?,
-            queue_depth: u64_field("queue_depth")? as usize,
-            provenance,
-        })
+        let mut config = TunedConfig::default();
+        for knob in KNOBS {
+            knob.read_json(&mut config, field(knob.name())?)
+                .map_err(|e| invalid(format!("tuned config: {e}")))?;
+        }
+        config.provenance = json.get("provenance").map(Provenance::from_json).transpose()?;
+        Ok(config)
     }
 
     /// The canonical serialized artifact text (what `save` writes).
@@ -335,11 +244,16 @@ impl TunedConfig {
     /// A [`SessionBuilder`] configured with every knob of this artifact,
     /// starting from
     /// [`AccelConfig::for_variant_instances`](crate::config::AccelConfig::for_variant_instances)
-    /// of the variant/instances pair. Call `.build()` — which validates —
-    /// or layer further overrides first (the CLI's explicit flags do).
+    /// of the variant/instances pair. Call `.build()` — which validates,
+    /// so zero instances fail there with `config.invalid` — or layer
+    /// further overrides first (the CLI's explicit flags do).
     pub fn session(&self) -> SessionBuilder {
-        let config = crate::config::AccelConfig::for_variant_instances(self.variant, self.instances);
+        let config =
+            crate::config::AccelConfig::for_variant_instances(self.variant, self.instances.max(1));
+        // Re-applying the count is a no-op for a valid count (the bank
+        // rescale preserves the budget) and hands zero to the validator.
         let mut b = SessionBuilder::new(config)
+            .instances(self.instances)
             .backend(self.backend)
             .threads(self.threads)
             .weight_cache(self.weight_cache)
@@ -369,6 +283,37 @@ mod tests {
         let back = TunedConfig::from_json_str(&text).expect("parses");
         assert_eq!(back, config);
         assert_eq!(back.to_json_string(), text, "canonical form is a fixed point");
+    }
+
+    #[test]
+    fn default_artifact_bytes_are_pinned() {
+        // Key order, JSON types and `null` handling of artifact v1.
+        let expected = r#"{
+  "version": 1,
+  "variant": "256-opt",
+  "instances": 1,
+  "backend": "model",
+  "threads": 1,
+  "kernel": null,
+  "weight_cache": true,
+  "park_hysteresis": null,
+  "placement": "auto",
+  "batch_workers": 0,
+  "max_batch": 8,
+  "batch_window_ms": 2,
+  "queue_depth": 64
+}"#;
+        assert_eq!(TunedConfig::default().to_json_string(), expected);
+    }
+
+    #[test]
+    fn zero_instances_fail_closed() {
+        let config = TunedConfig { instances: 0, ..TunedConfig::default() };
+        let err = config.session().build().unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+        let text = config.to_json_string();
+        let err = TunedConfig::from_json_str(&text).expect("parses").session().build().unwrap_err();
+        assert_eq!(err.code(), "config.invalid", "an artifact with zero instances");
     }
 
     #[test]

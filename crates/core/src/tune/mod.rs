@@ -4,7 +4,8 @@
 //! variants; this module automates it and extends it to every knob the
 //! stack grew since: a typed [`SearchSpace`] over hardware (variant,
 //! instances, placement, park hysteresis) and software (backend,
-//! threads, kernel tier, caches, batch shaping) dimensions, two
+//! threads, kernel tier, caches, batch shaping) dimensions drawn from one
+//! declarative [`knobs`] table, two
 //! seeded-deterministic [`Searcher`]s, pluggable lower-is-better
 //! [`Objective`]s, a fingerprint-keyed evaluation cache, and a versioned
 //! [`TunedConfig`] artifact that
@@ -34,6 +35,7 @@
 //! score. See docs/TUNING.md.
 
 mod artifact;
+pub mod knobs;
 mod objective;
 mod search;
 mod space;

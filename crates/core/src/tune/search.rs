@@ -48,18 +48,6 @@ impl Searcher {
     }
 }
 
-impl std::str::FromStr for Searcher {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Searcher, String> {
-        match s {
-            "cd" => Ok(Searcher::CoordinateDescent),
-            "spsa" => Ok(Searcher::Spsa),
-            other => Err(format!("unknown searcher '{other}' (use cd | spsa)")),
-        }
-    }
-}
-
 impl std::fmt::Display for Searcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -233,15 +221,16 @@ fn spsa(
 mod tests {
     use super::*;
     use crate::session::tests::tiny_qnet;
+    use crate::tune::knobs::KnobValue;
     use crate::tune::Objective;
     use zskip_nn::eval::synthetic_inputs;
 
     #[test]
     fn searcher_names_round_trip() {
         for s in Searcher::ALL {
-            assert_eq!(s.name().parse::<Searcher>(), Ok(s));
+            assert_eq!(Searcher::parse(s.name()), Some(s));
         }
-        assert!("greedy".parse::<Searcher>().is_err());
+        assert_eq!(Searcher::parse("greedy"), None);
     }
 
     #[test]

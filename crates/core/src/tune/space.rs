@@ -13,86 +13,46 @@
 
 use crate::exec::sched::Placement;
 use crate::exec::BackendKind;
+use crate::tune::knobs::{self, Field, KnobDef, KnobValue};
 use crate::tune::TunedConfig;
 use zskip_hls::Variant;
+use zskip_json::Json;
 use zskip_nn::simd::KernelTier;
 
-/// One tunable dimension: the knob's identity plus its ordered candidate
-/// values. Ordering matters — the searchers step by index, so adjacent
-/// candidates should be adjacent in effect (instances 1 → 2 → 4, not a
-/// shuffled list).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Knob {
-    /// Execution backend. The cycle backend is deliberately absent from
-    /// the built-in spaces: it is orders of magnitude slower to evaluate
-    /// and bit-identical to the model backend, so searching it buys
-    /// nothing (see docs/TUNING.md).
-    Backend(Vec<BackendKind>),
-    /// Intra-image conv worker threads (cpu backend).
-    Threads(Vec<usize>),
-    /// SIMD kernel tier; `None` = process-wide dispatch (auto).
-    Kernel(Vec<Option<KernelTier>>),
-    /// Packed-weight cache on/off.
-    WeightCache(Vec<bool>),
-    /// Batch-pool workers (0 = host auto).
-    BatchWorkers(Vec<usize>),
-    /// Request-coalescing cutoff.
-    MaxBatch(Vec<usize>),
-    /// Adaptive batch window in milliseconds.
-    BatchWindowMs(Vec<u64>),
-    /// Admission-control queue depth.
-    QueueDepth(Vec<usize>),
-    /// HLS variant (the paper's Fig. 6 axis).
-    Variant(Vec<Variant>),
-    /// Simulated instance count (scale-out ladder).
-    Instances(Vec<usize>),
-    /// Multi-instance placement.
-    Placement(Vec<Placement>),
-    /// Event-scheduler park hysteresis; `None` = engine default.
-    ParkHysteresis(Vec<Option<u32>>),
+/// One tunable dimension: a [`knobs`] table entry plus its ordered
+/// candidate values. Ordering matters — the searchers step by index, so
+/// adjacent candidates should be adjacent in effect (instances 1 → 2 → 4,
+/// not a shuffled list).
+#[derive(Clone)]
+pub struct Knob {
+    def: &'static dyn KnobDef,
+    /// Candidates in their artifact encoding, which erases the value type.
+    candidates: Vec<Json>,
 }
 
 impl Knob {
+    /// A knob over `field` taking `candidates`, in order.
+    pub fn new<T: KnobValue>(
+        field: &'static Field<T>,
+        candidates: impl IntoIterator<Item = T>,
+    ) -> Knob {
+        Knob { def: field, candidates: candidates.into_iter().map(T::to_json).collect() }
+    }
+
     /// The knob's stable name (used in artifacts, reports and docs).
     pub fn name(&self) -> &'static str {
-        match self {
-            Knob::Backend(_) => "backend",
-            Knob::Threads(_) => "threads",
-            Knob::Kernel(_) => "kernel",
-            Knob::WeightCache(_) => "weight_cache",
-            Knob::BatchWorkers(_) => "batch_workers",
-            Knob::MaxBatch(_) => "max_batch",
-            Knob::BatchWindowMs(_) => "batch_window_ms",
-            Knob::QueueDepth(_) => "queue_depth",
-            Knob::Variant(_) => "variant",
-            Knob::Instances(_) => "instances",
-            Knob::Placement(_) => "placement",
-            Knob::ParkHysteresis(_) => "park_hysteresis",
-        }
+        self.def.name()
     }
 
     /// Number of candidate values.
     pub fn len(&self) -> usize {
-        match self {
-            Knob::Backend(v) => v.len(),
-            Knob::Threads(v) => v.len(),
-            Knob::Kernel(v) => v.len(),
-            Knob::WeightCache(v) => v.len(),
-            Knob::BatchWorkers(v) => v.len(),
-            Knob::MaxBatch(v) => v.len(),
-            Knob::BatchWindowMs(v) => v.len(),
-            Knob::QueueDepth(v) => v.len(),
-            Knob::Variant(v) => v.len(),
-            Knob::Instances(v) => v.len(),
-            Knob::Placement(v) => v.len(),
-            Knob::ParkHysteresis(v) => v.len(),
-        }
+        self.candidates.len()
     }
 
     /// Whether the candidate list is empty (never true for the built-in
     /// spaces; [`SearchSpace::new`] rejects it).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.candidates.is_empty()
     }
 
     /// Writes candidate `idx` into `config`.
@@ -100,41 +60,26 @@ impl Knob {
     /// # Panics
     /// When `idx` is out of range (searchers clamp to the candidate list).
     pub fn apply(&self, idx: usize, config: &mut TunedConfig) {
-        match self {
-            Knob::Backend(v) => config.backend = v[idx],
-            Knob::Threads(v) => config.threads = v[idx],
-            Knob::Kernel(v) => config.kernel = v[idx],
-            Knob::WeightCache(v) => config.weight_cache = v[idx],
-            Knob::BatchWorkers(v) => config.batch_workers = v[idx],
-            Knob::MaxBatch(v) => config.max_batch = v[idx],
-            Knob::BatchWindowMs(v) => config.batch_window_ms = v[idx],
-            Knob::QueueDepth(v) => config.queue_depth = v[idx],
-            Knob::Variant(v) => config.variant = v[idx],
-            Knob::Instances(v) => config.instances = v[idx],
-            Knob::Placement(v) => config.placement = v[idx],
-            Knob::ParkHysteresis(v) => config.park_hysteresis = v[idx],
-        }
+        self.def
+            .read_json(config, &self.candidates[idx])
+            .expect("candidates are encoded by the knob's own value type");
     }
 
     /// The index of the session-default value in the candidate list, or
     /// `None` if the list omits it (validate rejects that for built-in
     /// spaces: the baseline must be representable).
     pub fn default_index(&self) -> Option<usize> {
-        let d = TunedConfig::default();
-        match self {
-            Knob::Backend(v) => v.iter().position(|&x| x == d.backend),
-            Knob::Threads(v) => v.iter().position(|&x| x == d.threads),
-            Knob::Kernel(v) => v.iter().position(|&x| x == d.kernel),
-            Knob::WeightCache(v) => v.iter().position(|&x| x == d.weight_cache),
-            Knob::BatchWorkers(v) => v.iter().position(|&x| x == d.batch_workers),
-            Knob::MaxBatch(v) => v.iter().position(|&x| x == d.max_batch),
-            Knob::BatchWindowMs(v) => v.iter().position(|&x| x == d.batch_window_ms),
-            Knob::QueueDepth(v) => v.iter().position(|&x| x == d.queue_depth),
-            Knob::Variant(v) => v.iter().position(|&x| x == d.variant),
-            Knob::Instances(v) => v.iter().position(|&x| x == d.instances),
-            Knob::Placement(v) => v.iter().position(|&x| x == d.placement),
-            Knob::ParkHysteresis(v) => v.iter().position(|&x| x == d.park_hysteresis),
-        }
+        let default = self.def.write_json(&TunedConfig::default());
+        self.candidates.iter().position(|c| *c == default)
+    }
+}
+
+impl std::fmt::Debug for Knob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Knob")
+            .field("name", &self.name())
+            .field("candidates", &self.candidates)
+            .finish()
     }
 }
 
@@ -167,19 +112,6 @@ impl SpaceKind {
     }
 }
 
-impl std::str::FromStr for SpaceKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SpaceKind, String> {
-        match s {
-            "software" => Ok(SpaceKind::Software),
-            "hls" => Ok(SpaceKind::Hls),
-            "full" => Ok(SpaceKind::Full),
-            other => Err(format!("unknown space '{other}' (use software | hls | full)")),
-        }
-    }
-}
-
 impl std::fmt::Display for SpaceKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -187,7 +119,7 @@ impl std::fmt::Display for SpaceKind {
 }
 
 /// An ordered set of [`Knob`]s the searchers move through.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SearchSpace {
     name: String,
     knobs: Vec<Knob>,
@@ -241,14 +173,17 @@ impl SearchSpace {
         SearchSpace {
             name: SpaceKind::Software.name().to_string(),
             knobs: vec![
-                Knob::Backend(vec![BackendKind::Model, BackendKind::Cpu]),
-                Knob::Threads(vec![1, 2, 4]),
-                Knob::Kernel(vec![None, Some(KernelTier::Scalar)]),
-                Knob::WeightCache(vec![true, false]),
-                Knob::BatchWorkers(vec![0, 1, 2, 4]),
-                Knob::MaxBatch(vec![1, 4, 8, 16]),
-                Knob::BatchWindowMs(vec![0, 1, 2, 5]),
-                Knob::QueueDepth(vec![64, 256]),
+                // No cycle backend: it is orders of magnitude slower to
+                // evaluate and bit-identical to the model backend, so
+                // searching it buys nothing (see docs/TUNING.md).
+                Knob::new(&knobs::BACKEND, [BackendKind::Model, BackendKind::Cpu]),
+                Knob::new(&knobs::THREADS, [1, 2, 4]),
+                Knob::new(&knobs::KERNEL, [None, Some(KernelTier::Scalar)]),
+                Knob::new(&knobs::WEIGHT_CACHE, [true, false]),
+                Knob::new(&knobs::BATCH_WORKERS, [0, 1, 2, 4]),
+                Knob::new(&knobs::MAX_BATCH, [1, 4, 8, 16]),
+                Knob::new(&knobs::BATCH_WINDOW_MS, [0, 1, 2, 5]),
+                Knob::new(&knobs::QUEUE_DEPTH, [64, 256]),
             ],
         }
     }
@@ -262,15 +197,13 @@ impl SearchSpace {
         SearchSpace {
             name: SpaceKind::Hls.name().to_string(),
             knobs: vec![
-                Knob::Variant(Variant::all().to_vec()),
-                Knob::Instances(vec![1, 2, 4]),
-                Knob::Placement(vec![
-                    Placement::Auto,
-                    Placement::Stripe,
-                    Placement::Image,
-                    Placement::Pipeline,
-                ]),
-                Knob::ParkHysteresis(vec![None, Some(1), Some(4), Some(16)]),
+                Knob::new(&knobs::VARIANT, Variant::all()),
+                Knob::new(&knobs::INSTANCES, [1, 2, 4]),
+                Knob::new(
+                    &knobs::PLACEMENT,
+                    [Placement::Auto, Placement::Stripe, Placement::Image, Placement::Pipeline],
+                ),
+                Knob::new(&knobs::PARK_HYSTERESIS, [None, Some(1), Some(4), Some(16)]),
             ],
         }
     }
@@ -374,14 +307,15 @@ mod tests {
 
     #[test]
     fn custom_space_rejects_degenerate_knobs() {
-        let err = SearchSpace::new("empty", vec![Knob::Threads(vec![])]).unwrap_err();
+        let err = SearchSpace::new("empty", vec![Knob::new(&knobs::THREADS, [])]).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        let err = SearchSpace::new("no-default", vec![Knob::Threads(vec![2, 4])]).unwrap_err();
+        let err =
+            SearchSpace::new("no-default", vec![Knob::new(&knobs::THREADS, [2, 4])]).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
         assert!(err.to_string().contains("session default"));
         let err = SearchSpace::new(
             "dup",
-            vec![Knob::Threads(vec![1, 2]), Knob::Threads(vec![1, 4])],
+            vec![Knob::new(&knobs::THREADS, [1, 2]), Knob::new(&knobs::THREADS, [1, 4])],
         )
         .unwrap_err();
         assert_eq!(err.code(), "config.invalid");

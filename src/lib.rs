@@ -39,9 +39,7 @@ pub use zskip_core::Error;
 /// assert_eq!(session.kernel_tier(), KernelTier::Scalar);
 /// ```
 ///
-/// The legacy panic-on-invalid constructors (`Driver::new`,
-/// `Driver::stats_only`) are deprecated and intentionally absent here:
-/// new code goes through [`Session`](prelude::Session) or
+/// Construction goes through [`Session`](prelude::Session) or
 /// [`DriverBuilder`](prelude::DriverBuilder), whose `build()` returns
 /// [`prelude::Error`] with the stable code `config.invalid`.
 pub mod prelude {

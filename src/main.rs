@@ -14,21 +14,20 @@
 //!
 //! Every flag-taking subcommand supports `--help`; flags are declared
 //! declaratively and parsed by a shared, panic-free parser. Flags with a
-//! closed set of values declare their choices in the table and are
-//! rejected with the stable `config.invalid` code before any work runs.
-//! The knobs common to `infer`/`batch`/`serve` — backend, threads,
-//! kernel tier, weight cache, and the batch shaping — live in shared
-//! flag *groups* ([`SESSION_FLAGS`], [`NETWORK_FLAGS`],
-//! [`BATCH_KNOB_FLAGS`]), so the subcommands cannot drift apart; all
-//! three resolve one [`TunedConfig`] via [`resolve_config`] (a
+//! closed set of values declare their choices and are rejected with the
+//! stable `config.invalid` code before any work runs. The session knobs
+//! (variant, instances, backend, threads, kernel tier, caches, placement
+//! and batch shaping) are not declared here: each subcommand takes the
+//! knob flags of its [`Scope`] from the library's [`KNOBS`] table, and
+//! resolves them into one [`TunedConfig`] via [`resolve_config`] (a
 //! `--config` artifact, when given, supplies the baseline and explicit
-//! flags override it) and route through one [`Session`].
+//! flags override it) that routes through one `Session`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use zskip::accel::serve::wire;
-use zskip::accel::session::{DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH};
+use zskip::accel::tune::knobs::{KnobValue, Scope, KNOBS};
 use zskip::accel::tune::{DEFAULT_BUDGET, DEFAULT_SEED};
 use zskip::accel::{
     AccelConfig, BackendKind, Driver, Objective, Placement, Provenance, SearchSpace, Searcher,
@@ -37,7 +36,6 @@ use zskip::accel::{
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
-use zskip::nn::simd::KernelTier;
 use zskip::perf::AreaBreakdown;
 use zskip::quant::DensityProfile;
 
@@ -47,133 +45,110 @@ struct Flag {
     /// Metavariable for value-taking flags; `None` marks a boolean flag.
     metavar: Option<&'static str>,
     /// Default shown in `--help` (value-taking flags only).
-    default: Option<&'static str>,
+    default: Option<String>,
     /// Closed value set, validated by the parser itself: any other value
     /// is rejected with the stable `config.invalid` code before the
     /// subcommand runs. `None` = free-form (numbers, paths, ...).
-    choices: Option<&'static [&'static str]>,
+    choices: Option<Vec<&'static str>>,
     help: &'static str,
 }
 
 impl Flag {
-    const fn val(
+    fn val(
         name: &'static str,
         metavar: &'static str,
         default: &'static str,
         help: &'static str,
     ) -> Flag {
-        Flag { name, metavar: Some(metavar), default: Some(default), choices: None, help }
+        Flag { name, metavar: Some(metavar), default: Some(default.to_string()), choices: None, help }
     }
 
-    const fn choice(
+    /// A flag taking one of `T`'s spellings.
+    fn choice<T: KnobValue>(
         name: &'static str,
         metavar: &'static str,
-        default: &'static str,
-        choices: &'static [&'static str],
+        default: T,
         help: &'static str,
     ) -> Flag {
-        Flag { name, metavar: Some(metavar), default: Some(default), choices: Some(choices), help }
+        Flag { name, metavar: Some(metavar), default: Some(default.show()), choices: T::choices(), help }
     }
 
-    const fn boolean(name: &'static str, help: &'static str) -> Flag {
+    fn boolean(name: &'static str, help: &'static str) -> Flag {
         Flag { name, metavar: None, default: None, choices: None, help }
     }
 }
 
 /// One subcommand of the CLI. `run` receives the parsed flag values.
-/// `flag_groups` is a list of flag tables — subcommands share the common
-/// groups below and add their own specifics, so `--help`, parsing and
-/// defaults stay in lockstep across subcommands.
+/// `flag_groups` lists the subcommand's flag tables — subcommands share
+/// the common groups below (the knob flags among them) and add their own
+/// specifics, so `--help`, parsing and defaults stay in lockstep across
+/// subcommands.
 struct Command {
     name: &'static str,
     usage_args: &'static str,
     summary: &'static str,
-    flag_groups: &'static [&'static [Flag]],
+    flag_groups: &'static [fn() -> Vec<Flag>],
     run: fn(&Parsed),
 }
 
 impl Command {
-    fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
-        self.flag_groups.iter().flat_map(|g| g.iter())
+    fn flags(&self) -> Vec<Flag> {
+        self.flag_groups.iter().flat_map(|group| group()).collect()
     }
+}
+
+/// The knobs the CLI starts from before `--config` and explicit flags:
+/// the library defaults, except the cpu backend (output- and
+/// cycle-identical to model, with the per-network stats computed once)
+/// on host-auto threads.
+fn cli_baseline() -> TunedConfig {
+    TunedConfig { backend: BackendKind::Cpu, threads: 0, ..TunedConfig::default() }
+}
+
+/// The flag of every [`KNOBS`] entry of `scope` or an earlier one, with
+/// its default rendered from [`cli_baseline`]; resolved into a
+/// [`TunedConfig`] by [`resolve_config`].
+fn knob_flags(scope: Scope) -> Vec<Flag> {
+    let baseline = cli_baseline();
+    KNOBS
+        .iter()
+        .filter_map(|k| {
+            let f = k.flag().filter(|f| f.scope <= scope)?;
+            Some(Flag {
+                name: f.name,
+                metavar: Some(f.metavar),
+                default: Some(k.show(&baseline)),
+                choices: k.choices(),
+                help: f.help,
+            })
+        })
+        .collect()
 }
 
 const HW_HELP: &str = "input height/width of the synthetic network";
 const NETWORK_SPEC_HELP: &str =
     "JSON network-spec file (e.g. specs/resnet18.json; see docs/NETWORKS.md) instead of the built-in VGG-16";
-const DENSITY_HELP: &str = "weight density: 'dc' (deep-compression VGG-16 profile) or a fraction";
-const VARIANT_HELP: &str = "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt";
-const BACKEND_HELP: &str = "execution backend: cpu (host SIMD kernels, cached model stats) | \
-     model (transaction-level) | cycle (cycle-exact)";
-const THREADS_HELP: &str =
-    "intra-image conv worker threads for the cpu backend (0 = host auto; others ignore)";
-
-const VARIANT_CHOICES: &[&str] = &["16-unopt", "256-unopt", "256-opt", "512-opt"];
-const BACKEND_CHOICES: &[&str] = &["model", "cycle", "cpu"];
-const KERNEL_CHOICES: &[&str] = &["auto", "scalar", "sse2", "avx2", "avx512"];
-const PLACEMENT_CHOICES: &[&str] = &["auto", "stripe", "image", "pipeline"];
-const ONOFF_CHOICES: &[&str] = &["on", "off"];
-const OBJECTIVE_CHOICES: &[&str] = &["latency", "throughput", "p99", "cycles"];
-const SPACE_CHOICES: &[&str] = &["software", "hls", "full"];
-const SEARCHER_CHOICES: &[&str] = &["cd", "spsa"];
-
-/// The session knobs every inference-running subcommand shares; resolved
-/// into a [`TunedConfig`] by [`resolve_config`].
-const SESSION_FLAGS: &[Flag] = &[
-    Flag::choice("--backend", "B", "cpu", BACKEND_CHOICES, BACKEND_HELP),
-    Flag::val("--threads", "T", "0", THREADS_HELP),
-    Flag::choice(
-        "--kernel",
-        "K",
-        "auto",
-        KERNEL_CHOICES,
-        "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512",
-    ),
-    Flag::choice("--weight-cache", "on|off", "on", ONOFF_CHOICES, "process-wide packed-weight and stats-plan caches"),
-];
+const DENSITY_HELP: &str = "weight density: 'dc' (deep-compression VGG-16 profile) or a fraction in [0, 1]";
 
 /// The synthetic-network knobs shared by inference subcommands.
-const NETWORK_FLAGS: &[Flag] = &[
-    Flag::val("--network", "FILE", "vgg16", NETWORK_SPEC_HELP),
-    Flag::val("--density", "D", "dc", DENSITY_HELP),
-    Flag::choice("--variant", "V", "256-opt", VARIANT_CHOICES, VARIANT_HELP),
-];
-
-/// The multi-accelerator sharding knobs shared by every subcommand that
-/// can schedule over more than one instance (see docs/SCHEDULER.md).
-const SHARD_FLAGS: &[Flag] = &[
-    Flag::val(
-        "--instances",
-        "N",
-        "1",
-        "accelerator instances to schedule over (the bank RAM budget divides across them)",
-    ),
-    Flag::choice(
-        "--placement",
-        "P",
-        "auto",
-        PLACEMENT_CHOICES,
-        "shard placement: auto | stripe | image | pipeline",
-    ),
-];
+fn network_flags() -> Vec<Flag> {
+    vec![
+        Flag::val("--network", "FILE", "vgg16", NETWORK_SPEC_HELP),
+        Flag::val("--density", "D", "dc", DENSITY_HELP),
+    ]
+}
 
 /// The tuned-config artifact loader shared by `infer`/`batch`/`serve`/
 /// `analyze`: the artifact supplies the baseline knobs, explicit flags
 /// override it (with a shadowing warning). See docs/TUNING.md.
-const CONFIG_FLAGS: &[Flag] = &[Flag::val(
-    "--config",
-    "FILE",
-    "none",
-    "tuned-config artifact from 'zskip tune' (explicit flags override its knobs)",
-)];
-
-/// The batch shaping and admission-control knobs of the serving daemon.
-const BATCH_KNOB_FLAGS: &[Flag] = &[
-    Flag::val("--workers", "N", "0", "batch-pool worker threads (0 = auto)"),
-    Flag::val("--max-batch", "N", "8", "requests coalesced into one accelerator batch at most"),
-    Flag::val("--batch-window-ms", "MS", "2", "how long a forming batch waits for more requests"),
-    Flag::val("--queue-depth", "N", "64", "bounded submission-queue depth (admission control)"),
-];
+fn config_flags() -> Vec<Flag> {
+    vec![Flag::val(
+        "--config",
+        "FILE",
+        "none",
+        "tuned-config artifact from 'zskip tune' (explicit flags override its knobs)",
+    )]
+}
 
 const COMMANDS: &[Command] = &[
     Command {
@@ -195,15 +170,16 @@ const COMMANDS: &[Command] = &[
         usage_args: "[flags]",
         summary: "run inference end to end, verify vs the golden model",
         flag_groups: &[
-            &[
-                Flag::val("--hw", "N", "64", HW_HELP),
-                Flag::val("--seed", "S", "3", "input image seed (serve's {\"seed\":S} matches)"),
-                Flag::boolean("--ternary", "quantize weights to ternary (-1/0/+1 magnitudes)"),
-            ],
-            NETWORK_FLAGS,
-            SESSION_FLAGS,
-            SHARD_FLAGS,
-            CONFIG_FLAGS,
+            || {
+                vec![
+                    Flag::val("--hw", "N", "64", HW_HELP),
+                    Flag::val("--seed", "S", "3", "input image seed (serve's {\"seed\":S} matches)"),
+                    Flag::boolean("--ternary", "quantize weights to ternary (-1/0/+1 magnitudes)"),
+                ]
+            },
+            network_flags,
+            || knob_flags(Scope::Session),
+            config_flags,
         ],
         run: infer,
     },
@@ -212,15 +188,15 @@ const COMMANDS: &[Command] = &[
         usage_args: "[flags]",
         summary: "run a batch of inferences on a work-stealing worker pool",
         flag_groups: &[
-            &[
-                Flag::val("--n", "N", "8", "number of images in the batch"),
-                Flag::val("--workers", "W", "0", "worker threads (0 = auto)"),
-                Flag::val("--hw", "N", "32", HW_HELP),
-            ],
-            NETWORK_FLAGS,
-            SESSION_FLAGS,
-            SHARD_FLAGS,
-            CONFIG_FLAGS,
+            || {
+                vec![
+                    Flag::val("--n", "N", "8", "number of images in the batch"),
+                    Flag::val("--hw", "N", "32", HW_HELP),
+                ]
+            },
+            network_flags,
+            || knob_flags(Scope::Batch),
+            config_flags,
         ],
         run: batch,
     },
@@ -229,15 +205,15 @@ const COMMANDS: &[Command] = &[
         usage_args: "[flags]",
         summary: "serving daemon: newline-delimited JSON requests over stdio or TCP",
         flag_groups: &[
-            &[
-                Flag::val("--hw", "N", "32", HW_HELP),
-                Flag::val("--tcp", "ADDR", "off", "listen on a TCP address (e.g. 127.0.0.1:0) instead of stdio"),
-            ],
-            NETWORK_FLAGS,
-            SESSION_FLAGS,
-            SHARD_FLAGS,
-            BATCH_KNOB_FLAGS,
-            CONFIG_FLAGS,
+            || {
+                vec![
+                    Flag::val("--hw", "N", "32", HW_HELP),
+                    Flag::val("--tcp", "ADDR", "off", "listen on a TCP address (e.g. 127.0.0.1:0) instead of stdio"),
+                ]
+            },
+            network_flags,
+            || knob_flags(Scope::Serve),
+            config_flags,
         ],
         run: serve,
     },
@@ -245,48 +221,46 @@ const COMMANDS: &[Command] = &[
         name: "tune",
         usage_args: "[flags]",
         summary: "seeded design-space autotuner; writes a loadable best-config artifact",
-        flag_groups: &[&[
-            Flag::choice(
-                "--objective",
-                "O",
-                "cycles",
-                OBJECTIVE_CHOICES,
-                "what to minimize: latency | throughput | p99 | cycles (see docs/TUNING.md)",
-            ),
-            Flag::choice("--space", "S", "hls", SPACE_CHOICES, "search space: software | hls | full"),
-            Flag::choice(
-                "--searcher",
-                "A",
-                "cd",
-                SEARCHER_CHOICES,
-                "search algorithm: cd (coordinate descent) | spsa",
-            ),
-            Flag::val("--seed", "S", "0x5acade09", "search seed (decimal or 0x-prefixed hex)"),
-            Flag::val("--budget", "N", "96", "fresh-evaluation budget (cache hits are free)"),
-            Flag::val("--out", "FILE", "tuned.json", "where to write the artifact"),
-            Flag::val("--n", "N", "4", "images driving the throughput/p99 objectives"),
-            Flag::val("--hw", "N", "32", HW_HELP),
-            Flag::val("--network", "FILE", "vgg16", NETWORK_SPEC_HELP),
-            Flag::val("--density", "D", "dc", DENSITY_HELP),
-        ]],
+        flag_groups: &[
+            || {
+                vec![
+                    Flag::choice("--objective", "O", Objective::Cycles, "what to minimize (see docs/TUNING.md)"),
+                    Flag::choice("--space", "S", SpaceKind::Hls, "search space"),
+                    Flag::choice(
+                        "--searcher",
+                        "A",
+                        Searcher::CoordinateDescent,
+                        "search algorithm (cd = coordinate descent)",
+                    ),
+                    Flag::val("--seed", "S", "0x5acade09", "search seed (decimal or 0x-prefixed hex)"),
+                    Flag::val("--budget", "N", "96", "fresh-evaluation budget (cache hits are free)"),
+                    Flag::val("--out", "FILE", "tuned.json", "where to write the artifact"),
+                    Flag::val("--n", "N", "4", "images driving the throughput/p99 objectives"),
+                    Flag::val("--hw", "N", "32", HW_HELP),
+                ]
+            },
+            network_flags,
+        ],
         run: tune,
     },
     Command {
         name: "analyze",
         usage_args: "[flags]",
         summary: "per-layer zero-skip packing analysis",
-        flag_groups: &[NETWORK_FLAGS, SHARD_FLAGS, CONFIG_FLAGS],
+        flag_groups: &[network_flags, || knob_flags(Scope::Accelerator), config_flags],
         run: analyze,
     },
     Command {
         name: "faults",
         usage_args: "[flags]",
         summary: "fault-injection survivability campaign (exit 1 unless all trials degrade gracefully)",
-        flag_groups: &[&[
-            Flag::val("--hw", "N", "8", HW_HELP),
-            Flag::val("--seed", "S", "7", "seed for synthetic weights and inputs"),
-            Flag::boolean("--json", "emit the survivability report as JSON on stdout"),
-        ]],
+        flag_groups: &[|| {
+            vec![
+                Flag::val("--hw", "N", "8", HW_HELP),
+                Flag::val("--seed", "S", "7", "seed for synthetic weights and inputs"),
+                Flag::boolean("--json", "emit the survivability report as JSON on stdout"),
+            ]
+        }],
         run: faults,
     },
     Command {
@@ -314,12 +288,17 @@ impl Parsed {
         self.switches.contains(&name)
     }
 
+    /// Reads a [`Flag::choice`] flag, whose value the parser has checked.
+    fn choice<T: KnobValue>(&self, name: &str, default: T) -> T {
+        self.get(name).map_or(default, |v| T::parse(v).expect("the parser checked the choices"))
+    }
+
     /// Parses a numeric flag, exiting with a message (not a panic) on
     /// malformed input.
     fn parse_num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.get(name) {
             None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| fail(&format!("{name} takes a number, got '{v}'"))),
+            Some(v) => v.parse().unwrap_or_else(|_| fail_invalid(&format!("{name} takes a number, got '{v}'"))),
         }
     }
 }
@@ -334,6 +313,12 @@ fn fail(msg: &str) -> ! {
 /// harnesses can match CLI and API failures with one string.
 fn fail_invalid(msg: &str) -> ! {
     fail(&format!("error[config.invalid]: {msg}"));
+}
+
+/// Exits with a library error's stable code, e.g. a session that fails
+/// to build (`error[config.invalid]`) or a run that fails in flight.
+fn fail_error(e: &zskip::Error) -> ! {
+    fail(&format!("error[{}]: {e}", e.code()));
 }
 
 /// Rejects a bad `--network` spec file with the stable code the library
@@ -361,15 +346,17 @@ fn print_usage() {
 fn print_command_help(cmd: &Command) {
     println!("usage: zskip {} {}", cmd.name, cmd.usage_args);
     println!("{}", cmd.summary);
-    if cmd.flags().next().is_some() {
+    let flags = cmd.flags();
+    if !flags.is_empty() {
         println!("\nflags:");
-        for f in cmd.flags() {
+        for f in flags {
             let head = match f.metavar {
                 Some(m) => format!("{} <{}>", f.name, m),
                 None => f.name.to_string(),
             };
+            let choices = f.choices.map(|c| format!(": {}", c.join(" | "))).unwrap_or_default();
             let default = f.default.map(|d| format!(" [default: {d}]")).unwrap_or_default();
-            println!("  {head:<24} {}{default}", f.help);
+            println!("  {head:<24} {}{choices}{default}", f.help);
         }
     }
 }
@@ -377,6 +364,7 @@ fn print_command_help(cmd: &Command) {
 /// The shared table-driven flag parser: validates every argument against
 /// the subcommand's flag table, handles `--help`, and never panics.
 fn parse_args(cmd: &Command, args: &[String]) -> Parsed {
+    let flags = cmd.flags();
     let mut parsed = Parsed { values: Vec::new(), switches: Vec::new(), positional: Vec::new() };
     let mut i = 0;
     while i < args.len() {
@@ -385,12 +373,12 @@ fn parse_args(cmd: &Command, args: &[String]) -> Parsed {
             print_command_help(cmd);
             std::process::exit(0);
         }
-        if let Some(flag) = cmd.flags().find(|f| f.name == a) {
+        if let Some(flag) = flags.iter().find(|f| f.name == a) {
             if flag.metavar.is_some() {
                 let Some(v) = args.get(i + 1) else {
                     fail(&format!("{} requires a value (zskip {} --help)", flag.name, cmd.name));
                 };
-                if let Some(choices) = flag.choices {
+                if let Some(choices) = &flag.choices {
                     if !choices.contains(&v.as_str()) {
                         fail_invalid(&format!(
                             "{} takes {}, got '{v}'",
@@ -431,16 +419,6 @@ fn main() {
     (cmd.run)(&parsed);
 }
 
-fn parse_variant(s: &str) -> Variant {
-    match s {
-        "16-unopt" => Variant::U16Unopt,
-        "256-unopt" => Variant::U256Unopt,
-        "256-opt" => Variant::U256Opt,
-        "512-opt" => Variant::U512Opt,
-        other => fail(&format!("unknown variant {other} (use 16-unopt | 256-unopt | 256-opt | 512-opt)")),
-    }
-}
-
 /// Parses a `u64` seed flag, accepting decimal or `0x`-prefixed hex (the
 /// default tuner seed reads better in hex).
 fn parse_seed(p: &Parsed, name: &str, default: u64) -> u64 {
@@ -453,6 +431,16 @@ fn parse_seed(p: &Parsed, name: &str, default: u64) -> u64 {
         .unwrap_or_else(|_| fail(&format!("{name} takes a seed (decimal or 0x hex), got '{v}'")))
 }
 
+/// Reads `--hw`, which the built-in VGG-16 (five 2x2 pools) needs as a
+/// positive multiple of 32; a `--network` spec fixes its own input.
+fn parse_hw(p: &Parsed, default: usize) -> usize {
+    let hw = p.parse_num("--hw", default);
+    if p.get("--network").is_none() && (hw == 0 || !hw.is_multiple_of(32)) {
+        fail_invalid(&format!("--hw takes a positive multiple of 32 for the built-in VGG-16, got {hw}"));
+    }
+    hw
+}
+
 fn parse_density(p: &Parsed, layers: usize) -> DensityProfile {
     match p.get("--density").unwrap_or("dc") {
         // The deep-compression profile is 13 per-layer entries; a loaded
@@ -460,10 +448,10 @@ fn parse_density(p: &Parsed, layers: usize) -> DensityProfile {
         // mean density, applied uniformly.
         "dc" if layers == 13 => DensityProfile::deep_compression_vgg16(),
         "dc" => DensityProfile::uniform(layers, 0.35),
-        d => DensityProfile::uniform(
-            layers,
-            d.parse().unwrap_or_else(|_| fail(&format!("--density takes 'dc' or a fraction, got '{d}'"))),
-        ),
+        d => match d.parse() {
+            Ok(density) if (0.0..=1.0).contains(&density) => DensityProfile::uniform(layers, density),
+            _ => fail_invalid(&format!("--density takes 'dc' or a fraction in [0, 1], got '{d}'")),
+        },
     }
 }
 
@@ -479,107 +467,39 @@ struct ResolvedConfig {
 }
 
 /// Resolves the session knobs every inference subcommand shares, with one
-/// precedence rule: `--config` artifact knobs are the baseline (else the
-/// stock defaults), and any explicitly-provided flag overrides its knob.
-/// An override that *changes* a loaded artifact's value warns on stderr —
-/// a tuned artifact silently degraded by a stray flag is the failure mode
-/// this guards against.
+/// precedence rule: `--config` artifact knobs are the baseline (else
+/// [`cli_baseline`]), and any explicitly-provided knob flag overrides its
+/// knob. An override that *changes* a loaded artifact's value warns on
+/// stderr — a tuned artifact silently degraded by a stray flag is the
+/// failure mode this guards against.
 fn resolve_config(p: &Parsed) -> ResolvedConfig {
     let source = p.get("--config").map(str::to_string);
     let mut config = match &source {
-        Some(path) => TunedConfig::load(path).unwrap_or_else(|e| fail_invalid(&e.to_string())),
-        // The CLI defaults to the cpu backend (output- and cycle-identical
-        // to Model, with the per-network stats computed once) and threads
-        // 0 (host auto), not the builder's model backend and pinned
-        // single thread.
-        None => TunedConfig { backend: BackendKind::Cpu, threads: 0, ..TunedConfig::default() },
+        Some(path) => TunedConfig::load(path).unwrap_or_else(|e| fail_error(&e)),
+        None => cli_baseline(),
     };
-    let loaded = source.is_some();
     let mut overrides = Vec::new();
-    let mut shadow = |flag: &str, new: &str, old: String| {
-        if loaded && *new != old {
-            overrides.push(format!("{flag} {new} shadows tuned '{old}'"));
+    for knob in KNOBS {
+        let Some(flag) = knob.flag() else { continue };
+        let Some(v) = p.get(flag.name) else { continue };
+        let old = knob.show(&config);
+        knob.set_text(&mut config, v).unwrap_or_else(|e| fail_invalid(&format!("{} {e}", flag.name)));
+        if let Some(path) = source.as_deref().filter(|_| knob.show(&config) != old) {
+            let note = format!("{} {v} shadows tuned '{old}'", flag.name);
+            eprintln!("zskip: warning: {note} (artifact {path})");
+            overrides.push(note);
         }
-    };
-    if let Some(v) = p.get("--variant") {
-        shadow("--variant", v, config.variant.label().to_string());
-        config.variant = parse_variant(v);
-    }
-    if let Some(v) = p.get("--instances") {
-        shadow("--instances", v, config.instances.to_string());
-        config.instances = p.parse_num("--instances", 1);
-    }
-    if let Some(v) = p.get("--backend") {
-        shadow("--backend", v, config.backend.name().to_string());
-        config.backend = v.parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    }
-    if let Some(v) = p.get("--threads") {
-        shadow("--threads", v, config.threads.to_string());
-        config.threads = p.parse_num("--threads", 0);
-    }
-    if let Some(v) = p.get("--kernel") {
-        shadow("--kernel", v, config.kernel.map(|k| k.name().to_string()).unwrap_or("auto".into()));
-        config.kernel = match v {
-            "auto" => None,
-            k => KernelTier::parse(k), // parser-validated; never None here
-        };
-    }
-    if let Some(v) = p.get("--weight-cache") {
-        shadow("--weight-cache", v, if config.weight_cache { "on" } else { "off" }.to_string());
-        config.weight_cache = v == "on";
-    }
-    if let Some(v) = p.get("--placement") {
-        shadow("--placement", v, config.placement.name().to_string());
-        config.placement = v.parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    }
-    if let Some(v) = p.get("--workers") {
-        shadow("--workers", v, config.batch_workers.to_string());
-        config.batch_workers = p.parse_num("--workers", 0);
-    }
-    if let Some(v) = p.get("--max-batch") {
-        shadow("--max-batch", v, config.max_batch.to_string());
-        config.max_batch = p.parse_num("--max-batch", DEFAULT_MAX_BATCH);
-    }
-    if let Some(v) = p.get("--batch-window-ms") {
-        shadow("--batch-window-ms", v, config.batch_window_ms.to_string());
-        config.batch_window_ms = p.parse_num("--batch-window-ms", DEFAULT_BATCH_WINDOW_MS);
-    }
-    if let Some(v) = p.get("--queue-depth") {
-        shadow("--queue-depth", v, config.queue_depth.to_string());
-        config.queue_depth = p.parse_num("--queue-depth", DEFAULT_QUEUE_DEPTH);
-    }
-    for w in &overrides {
-        eprintln!(
-            "zskip: warning: {} (artifact {})",
-            w,
-            source.as_deref().unwrap_or("?")
-        );
     }
     ResolvedConfig { config, source, overrides }
 }
 
-/// Renders a resolved config's knobs as two aligned lines (shared by
-/// `tune` and `analyze --config`).
+/// Renders a resolved config's knobs, six to a line (shared by `tune` and
+/// `analyze --config`).
 fn print_tuned_knobs(c: &TunedConfig, indent: &str) {
-    let threads = if c.threads == 0 { "auto".to_string() } else { c.threads.to_string() };
-    println!(
-        "{indent}variant {} | instances {} | backend {} | threads {} | kernel {} | weight-cache {}",
-        c.variant.label(),
-        c.instances,
-        c.backend.name(),
-        threads,
-        c.kernel.map(|k| k.name()).unwrap_or("auto"),
-        if c.weight_cache { "on" } else { "off" },
-    );
-    println!(
-        "{indent}placement {} | park-hysteresis {} | batch workers {} | max-batch {} | window {} ms | queue {}",
-        c.placement.name(),
-        c.park_hysteresis.map(|t| t.to_string()).unwrap_or("default".into()),
-        c.batch_workers,
-        c.max_batch,
-        c.batch_window_ms,
-        c.queue_depth,
-    );
+    let knobs: Vec<String> = KNOBS.iter().map(|k| format!("{} {}", k.name(), k.show(c))).collect();
+    for line in knobs.chunks(6) {
+        println!("{indent}{}", line.join(" | "));
+    }
 }
 
 fn print_provenance(pr: &Provenance, indent: &str) {
@@ -612,8 +532,13 @@ fn build_network(p: &Parsed, hw: usize, ternary: bool) -> QuantizedNetwork {
 }
 
 fn synth(which: &str) {
-    let variants: Vec<Variant> =
-        if which == "all" { Variant::all().to_vec() } else { vec![parse_variant(which)] };
+    let variants: Vec<Variant> = match which {
+        "all" => Variant::all().to_vec(),
+        v => vec![Variant::parse(v).unwrap_or_else(|| {
+            let labels = Variant::choices().unwrap_or_default().join(" | ");
+            fail_invalid(&format!("synth takes 'all' or a variant ({labels}), got '{v}'"))
+        })],
+    };
     for v in variants {
         let r = v.synthesize();
         println!("== {v} ==");
@@ -646,11 +571,13 @@ fn sweep() {
 }
 
 fn infer(p: &Parsed) {
-    let hw: usize = p.parse_num("--hw", 64);
+    let hw = parse_hw(p, 64);
     let seed: u64 = p.parse_num("--seed", 3);
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
     let backend = resolved.config.backend;
+    let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
+    let config = &session.driver().config;
 
     let qnet = build_network(p, hw, p.has("--ternary"));
     println!(
@@ -661,12 +588,10 @@ fn infer(p: &Parsed) {
     );
     let input = synthetic_inputs(seed, 1, qnet.spec.input).pop().expect("one");
 
-    let config = AccelConfig::for_variant(variant);
-    let session = resolved.config.session().build().unwrap_or_else(|e| fail(&e.to_string()));
-    let report = if session.driver().config.instances > 1 {
+    let report = if config.instances > 1 {
         let shard = session
             .run_sharded(&qnet, std::slice::from_ref(&input))
-            .unwrap_or_else(|e| fail(&e.to_string()));
+            .unwrap_or_else(|e| fail_error(&e));
         println!(
             "sharded over {} instances ({} placement): makespan {} cycles, {:.2}x vs one instance",
             shard.instances,
@@ -676,7 +601,7 @@ fn infer(p: &Parsed) {
         );
         shard.items.into_iter().next().expect("one image in, one report out")
     } else {
-        session.infer(&qnet, &input).unwrap_or_else(|e| fail(&e.to_string()))
+        session.infer(&qnet, &input).unwrap_or_else(|e| fail_error(&e))
     };
     assert_eq!(report.output, qnet.forward_quant(&input), "bit-exact vs golden model");
     println!("bit-exact vs the software golden model");
@@ -685,8 +610,8 @@ fn infer(p: &Parsed) {
         report.total_cycles,
         report.total_cycles as f64 * config.cycle_seconds() * 1e3,
         config.clock_mhz,
-        report.mean_gops(&config),
-        report.peak_gops(&config),
+        report.mean_gops(config),
+        report.peak_gops(config),
         report.ddr_bytes >> 20
     );
     let top = zskip::nn::fc::argmax(&report.output).expect("non-empty");
@@ -694,19 +619,18 @@ fn infer(p: &Parsed) {
 }
 
 fn batch(p: &Parsed) {
-    let hw: usize = p.parse_num("--hw", 32);
+    let hw = parse_hw(p, 32);
     let n: usize = p.parse_num("--n", 8);
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
     let backend = resolved.config.backend;
+    let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
 
     let qnet = build_network(p, hw, false);
     let inputs = synthetic_inputs(3, n, qnet.spec.input);
-
-    let session = resolved.config.session().build().unwrap_or_else(|e| fail(&e.to_string()));
     println!("running {} x {} on {} ({backend} backend)...", n, qnet.spec.name, variant);
     if session.driver().config.instances > 1 {
-        let shard = session.run_sharded(&qnet, &inputs).unwrap_or_else(|e| fail(&e.to_string()));
+        let shard = session.run_sharded(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
         print_shard_summary(&shard, &session.driver().config);
         for (i, r) in shard.items.iter().enumerate() {
             let top = zskip::nn::fc::argmax(&r.output).expect("non-empty");
@@ -715,7 +639,7 @@ fn batch(p: &Parsed) {
         return;
     }
     let t0 = std::time::Instant::now();
-    let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail(&e.to_string()));
+    let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
     let wall = t0.elapsed().as_secs_f64();
     println!(
         "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s, {} steals)",
@@ -765,13 +689,13 @@ fn print_shard_summary(shard: &ShardReport, config: &AccelConfig) {
 }
 
 fn serve(p: &Parsed) {
-    let hw: usize = p.parse_num("--hw", 32);
+    let hw = parse_hw(p, 32);
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
     let backend = resolved.config.backend;
+    let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
 
     let qnet = Arc::new(build_network(p, hw, false));
-    let session = resolved.config.session().build().unwrap_or_else(|e| fail(&e.to_string()));
     let batch_cfg = *session.batch_config();
     // The banner goes to stderr: in stdio mode stdout is the protocol
     // channel and must carry nothing but response lines.
@@ -890,16 +814,13 @@ fn serve_tcp(handle: &zskip::accel::ServeHandle, shape: zskip::tensor::Shape, ad
 ///
 /// [`SessionBuilder::from_tuned`]: zskip::accel::SessionBuilder::from_tuned
 fn tune(p: &Parsed) {
-    let objective: Objective =
-        p.get("--objective").unwrap_or("cycles").parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    let kind: SpaceKind =
-        p.get("--space").unwrap_or("hls").parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    let searcher: Searcher =
-        p.get("--searcher").unwrap_or("cd").parse().unwrap_or_else(|e: String| fail_invalid(&e));
+    let objective = p.choice("--objective", Objective::Cycles);
+    let kind = p.choice("--space", SpaceKind::Hls);
+    let searcher = p.choice("--searcher", Searcher::CoordinateDescent);
     let space = SearchSpace::named(kind);
     let seed = parse_seed(p, "--seed", DEFAULT_SEED);
     let budget: u64 = p.parse_num("--budget", DEFAULT_BUDGET);
-    let hw: usize = p.parse_num("--hw", 32);
+    let hw = parse_hw(p, 32);
     let n: usize = p.parse_num("--n", 4);
     let out = p.get("--out").unwrap_or("tuned.json").to_string();
 
@@ -932,7 +853,7 @@ fn tune(p: &Parsed) {
         outcome.speedup(),
     );
     print_tuned_knobs(&outcome.best, "  ");
-    outcome.best.save(&out).unwrap_or_else(|e| fail(&e.to_string()));
+    outcome.best.save(&out).unwrap_or_else(|e| fail_error(&e));
     println!("wrote {out} (load with --config {out} or SessionBuilder::from_tuned)");
 }
 
@@ -1041,6 +962,7 @@ fn analyze(p: &Parsed) {
     let conv3_density = density.density(4);
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
+    let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
     if let Some(path) = &resolved.source {
         println!("tuned config: {path} (artifact v{})", zskip::accel::tune::ARTIFACT_VERSION);
         print_tuned_knobs(&resolved.config, "  ");
@@ -1135,7 +1057,7 @@ fn analyze(p: &Parsed) {
     let sq = snet.quantize(&synthetic_inputs(2, 1, surrogate.input));
     let probe = synthetic_inputs(3, 3, surrogate.input);
     let auto_workers = zskip::nn::ConvPool::auto_threads();
-    println!("Intra-image conv workers: {auto_workers} at auto (host parallelism; --threads overrides)");
+    println!("Intra-image conv workers: {auto_workers} at auto (host parallelism)");
     let mut arena = Scratch::new();
     arena.set_threads(auto_workers);
     for input in &probe {
@@ -1195,7 +1117,7 @@ fn analyze(p: &Parsed) {
     // where the inter-stage bubbles sit.
     let instances = resolved.config.instances;
     let placement = resolved.config.placement;
-    let cost = zskip::accel::CostModel::for_instances(variant, instances.max(1));
+    let cost = zskip::accel::CostModel::for_instances(variant, instances);
     println!(
         "\nSharding at {} instance(s): {} at {:.1} MHz, ALM utilization {:.2}{}",
         cost.instances,
@@ -1204,24 +1126,24 @@ fn analyze(p: &Parsed) {
         cost.alm_utilization,
         if cost.fits { "" } else { " (DOES NOT FIT)" }
     );
-    let shard_config = AccelConfig::for_variant_instances(variant, instances.max(1));
+    let shard_config = session.driver().config;
     let shard_driver = Driver::builder(shard_config)
         .backend(BackendKind::Model)
         .build()
         .expect("model driver builds");
     let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), surrogate.input);
     let shard = zskip::accel::run_sharded(&shard_driver, &sq, &shard_inputs, placement)
-        .unwrap_or_else(|e| fail(&e.to_string()));
+        .unwrap_or_else(|e| fail_error(&e.into()));
     print_shard_summary(&shard, &shard_config);
 
     // Serving limits: what `zskip serve` defaults to on this build, so an
     // operator can size clients without starting the daemon.
-    println!(
-        "\nServe defaults: queue depth {DEFAULT_QUEUE_DEPTH} (admission control), batch window {DEFAULT_BATCH_WINDOW_MS} ms, max batch {DEFAULT_MAX_BATCH}"
-    );
-    println!(
-        "(override with zskip serve --queue-depth/--batch-window-ms/--max-batch; full wire protocol in docs/SERVING.md)"
-    );
+    let baseline = cli_baseline();
+    let serve_knobs: Vec<String> = KNOBS
+        .iter()
+        .filter_map(|k| k.flag().filter(|f| f.scope == Scope::Serve).map(|f| format!("{} {}", f.name, k.show(&baseline))))
+        .collect();
+    println!("\nServe defaults: {} (full wire protocol in docs/SERVING.md)", serve_knobs.join(", "));
 }
 
 fn faults(p: &Parsed) {

@@ -20,6 +20,7 @@ use std::sync::{mpsc, Arc};
 use proptest::prelude::*;
 use zskip::accel::tune::{Evaluator, Objective, Provenance, SearchSpace, Searcher, TunedConfig, Tuner};
 use zskip::hls::Variant;
+use zskip::json::{Json, ToJson};
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, NetworkSpec};
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
@@ -129,6 +130,21 @@ proptest! {
             "same seed+space+budget must reproduce the artifact byte for byte"
         );
         prop_assert_eq!(a.best_score, b.best_score);
+    }
+}
+
+#[test]
+fn bench_tune_best_artifacts_reserialize_identically() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_tune.json"))
+        .expect("BENCH_tune.json is checked in");
+    let bench = Json::parse(&text).expect("valid JSON");
+    let objectives = bench.get("objectives").and_then(Json::as_arr).expect("objectives array");
+    assert!(!objectives.is_empty());
+    for objective in objectives {
+        let best = objective.get("best").expect("every objective records its best artifact");
+        let config = TunedConfig::from_json(best).expect("a recorded artifact parses");
+        assert_eq!(config.to_json(), *best);
+        assert_eq!(config.to_json_string(), best.to_string_pretty(), "byte-identical");
     }
 }
 
