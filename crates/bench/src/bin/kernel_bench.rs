@@ -32,12 +32,17 @@
 //!   lowering on a bottleneck-reduce shape, plus the quantized
 //!   residual-add cost relative to that conv.
 //!
+//! * **Set-up**: `Network::synthetic_with_threads` and `Network::quantize`
+//!   on the reference VGG-16/32 at 1 thread and at the auto width, plus
+//!   64-bit digests of the synthesized and the quantized network.
+//!
 //! `--check` exits nonzero if any SIMD tier is slower than scalar on a
 //! reference shape, the steady-state pass allocates, the cpu backend
 //! falls behind the model backend, the single-image speedup is below 2x,
 //! the auto-width multithreaded latency regresses past the
-//! single-threaded one, or the 1x1 fast path is slower than the generic
-//! lowering — wired into `scripts/verify.sh`.
+//! single-threaded one, the 1x1 fast path is slower than the generic
+//! lowering, or a set-up digest differs from its pinned value — wired
+//! into `scripts/verify.sh`.
 //!
 //! Writes `BENCH_kernels.json` at the repository root plus the usual
 //! `experiments/kernel_bench.{txt,json}` artifacts.
@@ -46,7 +51,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use zskip_bench::{make_conv_layer, write_artifacts};
+use zskip_bench::{make_conv_layer, setup, write_artifacts};
 use zskip_core::config::AccelConfig;
 use zskip_core::driver::{BackendKind, Driver};
 use zskip_core::weight_cache_stats;
@@ -300,6 +305,49 @@ impl ToJson for ResnetBlockResult {
     }
 }
 
+/// Set-up wall time at one fill width.
+struct SetupTiming {
+    threads: usize,
+    synth_ms: f64,
+    quantize_ms: f64,
+}
+
+impl ToJson for SetupTiming {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("threads", self.threads.to_json()),
+            ("synth_ms", self.synth_ms.to_json()),
+            ("quantize_ms", self.quantize_ms.to_json()),
+        ])
+    }
+}
+
+/// The set-up path (`Network::synthetic_with_threads` +
+/// `Network::quantize`) on the reference VGG-16/32, with digests of what
+/// it produced at every width.
+struct SetupResult {
+    auto_threads: usize,
+    timings: Vec<SetupTiming>,
+    network_digest: u64,
+    quantized_digest: u64,
+    /// Whether every width reproduced the pinned digests; `--check`
+    /// requires it.
+    digests_match: bool,
+}
+
+impl ToJson for SetupResult {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("network", "vgg16-32 deep-compression, weight seed 1, calibration seed 2".to_json()),
+            ("auto_threads", self.auto_threads.to_json()),
+            ("timings", self.timings.to_json()),
+            ("network_digest", format!("{:#018x}", self.network_digest).to_json()),
+            ("quantized_digest", format!("{:#018x}", self.quantized_digest).to_json()),
+            ("digests_match", self.digests_match.to_json()),
+        ])
+    }
+}
+
 struct Bench {
     host_tiers: Vec<String>,
     dispatch_tier: String,
@@ -309,6 +357,7 @@ struct Bench {
     single_image: SingleImageResult,
     intra_image: IntraImageResult,
     resnet_block: ResnetBlockResult,
+    setup: SetupResult,
     /// Best SIMD GEMM speedup on the conv3_2-like shape (the acceptance
     /// number: must be >= 2x).
     conv3_2_gemm_speedup: f64,
@@ -325,6 +374,7 @@ impl ToJson for Bench {
             ("single_image", self.single_image.to_json()),
             ("intra_image", self.intra_image.to_json()),
             ("resnet_block", self.resnet_block.to_json()),
+            ("setup", self.setup.to_json()),
             ("conv3_2_gemm_speedup", self.conv3_2_gemm_speedup.to_json()),
         ])
     }
@@ -657,6 +707,30 @@ fn bench_resnet_block() -> ResnetBlockResult {
     }
 }
 
+fn bench_setup() -> SetupResult {
+    let auto_threads = ConvPool::auto_threads();
+    let mut widths = vec![1, auto_threads];
+    widths.dedup();
+    let (mut network_digest, mut quantized_digest) = (0, 0);
+    let mut digests_match = true;
+    let timings = widths
+        .into_iter()
+        .map(|threads| {
+            let (synth_s, net) = time_best(|| {
+                let (spec, config) = setup::vgg16_reference();
+                Network::synthetic_with_threads(spec, &config, threads)
+            });
+            let (quantize_s, qnet) = time_best(|| setup::quantize(&net));
+            network_digest = setup::network_digest(&net);
+            quantized_digest = setup::quantized_digest(&qnet);
+            digests_match &= network_digest == setup::VGG16_NETWORK_DIGEST
+                && quantized_digest == setup::VGG16_QUANTIZED_DIGEST;
+            SetupTiming { threads, synth_ms: synth_s * 1e3, quantize_ms: quantize_s * 1e3 }
+        })
+        .collect();
+    SetupResult { auto_threads, timings, network_digest, quantized_digest, digests_match }
+}
+
 fn render(bench: &Bench) -> String {
     let mut text = String::new();
     text.push_str(&format!(
@@ -736,6 +810,20 @@ fn render(bench: &Bench) -> String {
         "  residual add {:.3} ms ({:.2}x of the 1x1 conv)\n",
         rb.add_ms, rb.add_overhead_vs_conv
     ));
+    let su = &bench.setup;
+    text.push_str(&format!("\nset-up (vgg16-32, auto = {} threads):\n", su.auto_threads));
+    for t in &su.timings {
+        text.push_str(&format!(
+            "  {:>2} threads: synthesize {:>8.1} ms, quantize {:>7.1} ms\n",
+            t.threads, t.synth_ms, t.quantize_ms
+        ));
+    }
+    text.push_str(&format!(
+        "  digests: network {:#018x}, quantized {:#018x} ({})\n",
+        su.network_digest,
+        su.quantized_digest,
+        if su.digests_match { "match the pinned values" } else { "DIFFER from the pinned values" }
+    ));
     text
 }
 
@@ -779,6 +867,15 @@ fn check(bench: &Bench) -> Result<(), String> {
             bench.intra_image.mt_vs_single
         ));
     }
+    if !bench.setup.digests_match {
+        return Err(format!(
+            "set-up output changed: network digest {:#018x}, quantized digest {:#018x} (pinned {:#018x}, {:#018x})",
+            bench.setup.network_digest,
+            bench.setup.quantized_digest,
+            setup::VGG16_NETWORK_DIGEST,
+            setup::VGG16_QUANTIZED_DIGEST
+        ));
+    }
     if bench.resnet_block.pointwise_speedup < 1.0 {
         return Err(format!(
             "1x1 pointwise fast path is {:.2}x vs the generic im2col lowering (must not be slower)",
@@ -800,6 +897,7 @@ fn main() {
         single_image: bench_single_image(&qnet, &inputs, config),
         intra_image: bench_intra_image(&qnet, &inputs, config),
         resnet_block: bench_resnet_block(),
+        setup: bench_setup(),
         conv3_2_gemm_speedup: 0.0,
     };
     let conv3_2 = bench

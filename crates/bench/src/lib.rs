@@ -10,6 +10,8 @@
 //! * `all_experiments` — everything above plus the in-text numbers,
 //!   written to `experiments/` as text and JSON.
 
+pub mod setup;
+
 use zskip_json::{Json, ToJson};
 use zskip_core::{AccelConfig, Driver, InferenceReport};
 use zskip_hls::Variant;

@@ -224,6 +224,67 @@ pub fn render_shutdown_ack() -> String {
     .to_string_compact()
 }
 
+/// The longest request line a connection accepts, in bytes (newline
+/// excluded). A longer line is answered with `serve.bad-request` and
+/// skipped without being buffered, so no client can grow the daemon's
+/// memory by withholding a newline.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The outcome of one [`read_line_bounded`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineRead {
+    /// A complete line is in the buffer.
+    Line,
+    /// The line exceeded the bound; it was consumed through its newline.
+    TooLong,
+    /// End of stream (or a read error) with no line pending.
+    Eof,
+}
+
+/// Reads one line of at most `max` bytes into `buf` (without its `\n` or
+/// `\r\n`). Bytes past the bound are consumed but not stored.
+fn read_line_bounded<R: BufRead>(reader: &mut R, max: usize, buf: &mut Vec<u8>) -> LineRead {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return LineRead::Eof,
+        };
+        if chunk.is_empty() {
+            if !too_long && buf.is_empty() {
+                return LineRead::Eof;
+            }
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let (content, used) = match newline {
+            Some(i) => (&chunk[..i], i + 1),
+            None => (chunk, chunk.len()),
+        };
+        // One byte of slack holds the `\r` of a `\r\n` ending.
+        too_long = too_long || buf.len() + content.len() > max + 1;
+        if too_long {
+            buf.clear();
+        } else {
+            buf.extend_from_slice(content);
+        }
+        reader.consume(used);
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            break;
+        }
+    }
+    if too_long || buf.len() > max {
+        LineRead::TooLong
+    } else {
+        LineRead::Line
+    }
+}
+
 /// What one connection did, for the caller's exit-code policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionSummary {
@@ -252,15 +313,26 @@ pub struct ConnectionSummary {
 pub fn serve_connection<R: BufRead + Send, W: Write>(
     handle: &ServeHandle,
     input_shape: Shape,
-    reader: R,
+    mut reader: R,
     writer: &mut W,
 ) -> std::io::Result<ConnectionSummary> {
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::scope(|scope| {
         let reader_thread = scope.spawn(move || {
             let mut summary = ConnectionSummary::default();
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
+            let mut buf = Vec::new();
+            loop {
+                match read_line_bounded(&mut reader, MAX_LINE_BYTES, &mut buf) {
+                    LineRead::Eof => break,
+                    LineRead::TooLong => {
+                        summary.protocol_errors += 1;
+                        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                        let _ = tx.send(render_error(None, &Error::Serve(ServeError::BadRequest { message })));
+                        continue;
+                    }
+                    LineRead::Line => {}
+                }
+                let line = String::from_utf8_lossy(&buf);
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -452,6 +524,54 @@ garbage line
         let direct: Vec<i32> = want.output.iter().map(|v| v.to_i32()).collect();
         assert_eq!(output, direct, "served output is bit-identical to direct inference");
         assert!(lines.iter().any(|j| j.get("code").and_then(Json::as_str) == Some("serve.protocol")));
+    }
+
+    #[test]
+    fn bounded_line_reads_skip_over_long_lines() {
+        // A 3-byte read buffer splits every line across many refills.
+        let text = "abcd\nabcde\r\nabcdefgh\n\nab\r\nxyz";
+        let mut reader = std::io::BufReader::with_capacity(3, text.as_bytes());
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            match read_line_bounded(&mut reader, 5, &mut buf) {
+                LineRead::Eof => break,
+                LineRead::TooLong => got.push("<too long>".to_string()),
+                LineRead::Line => got.push(String::from_utf8(buf.clone()).unwrap()),
+            }
+        }
+        assert_eq!(got, ["abcd", "abcde", "<too long>", "", "ab", "xyz"]);
+        assert!(buf.capacity() <= 16, "an over-long line is never buffered whole");
+    }
+
+    #[test]
+    fn serve_connection_rejects_an_over_long_line_and_continues() {
+        let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
+        let config = crate::config::AccelConfig::from_arch(
+            &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 4096 },
+            100.0,
+        );
+        let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
+        let engine = ServeEngine::start(session, Arc::clone(&qnet));
+        let mut input = format!(r#"{{"op":"infer","id":"big","seed":3,"pad":"{}"}}"#, "x".repeat(MAX_LINE_BYTES));
+        input.push_str("\n{\"op\":\"stats\"}\n{\"op\":\"shutdown\"}\n");
+        let mut out = Vec::new();
+        let summary =
+            serve_connection(&engine.handle(), qnet.spec.input, input.as_bytes(), &mut out).expect("io ok");
+        engine.join();
+        assert_eq!(summary.requests, 0, "the over-long request is never admitted");
+        assert_eq!(summary.protocol_errors, 1);
+        assert!(summary.shutdown_requested, "the connection continues after the long line");
+        let lines: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).expect("every response line is JSON"))
+            .collect();
+        assert_eq!(lines.len(), 3, "bad-request + stats + shutdown ack");
+        assert_eq!(lines[0].get("code").and_then(Json::as_str), Some("serve.bad-request"));
+        assert_eq!(lines[0].get("id"), Some(&Json::Null));
+        assert_eq!(lines[1].get("op").and_then(Json::as_str), Some("stats"));
+        assert_eq!(lines[2].get("op").and_then(Json::as_str), Some("shutdown"));
     }
 
     #[test]

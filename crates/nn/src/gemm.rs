@@ -11,10 +11,13 @@
 //! The GEMMs are register-tiled and cache-blocked: a `4x4` micro-kernel
 //! holds sixteen accumulators in registers and streams the im2col matrix
 //! through fixed-size array windows (eliding per-element bounds checks).
-//! Bit-exactness with the naive triple loop is preserved by construction —
+//! Bit-exactness with the direct convolution is preserved by construction —
 //! every output element owns a single accumulator that walks the reduction
-//! dimension in ascending order, so the float rounding sequence is
-//! identical; the `_naive` variants stay as property-test baselines.
+//! dimension in the direct loop's `(c, ky, kx)` order with no fused
+//! multiply-add, so the float rounding sequence is identical and
+//! [`conv2d_gemm_f32`] can stand in for [`crate::conv::conv2d_f32`] (model
+//! calibration runs on it). `conv2d_gemm_quant_naive` stays as the quantized
+//! property-test baseline.
 
 use crate::conv::{ConvWeights, QuantConvWeights};
 use crate::par::{ConvPool, SendPtr};
@@ -58,11 +61,6 @@ pub fn im2col<T: Copy + Default>(
         }
     }
     (m, Shape::new(rows, out_h, out_w))
-}
-
-/// Float im2col (kept for API compatibility; forwards to [`im2col`]).
-pub fn im2col_f32(input: &Tensor<f32>, k: usize, stride: usize, pad: usize) -> (Vec<f32>, Shape) {
-    im2col(input, k, stride, pad, 0.0)
 }
 
 /// Whether this conv geometry makes im2col the identity: a 1x1 stride-1
@@ -170,32 +168,6 @@ pub fn conv2d_gemm_f32(
                 out_slice[ob * cols + j] = if relu { acc.max(0.0) } else { acc };
             }
             ob += 1;
-        }
-    }
-    out
-}
-
-/// The original naive triple loop, kept as the property-test baseline for
-/// the blocked kernel.
-pub fn conv2d_gemm_f32_naive(
-    input: &Tensor<f32>,
-    weights: &ConvWeights,
-    stride: usize,
-    pad: usize,
-    relu: bool,
-) -> Tensor<f32> {
-    let (m, mshape) = im2col(input, weights.k, stride, pad, 0.0);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
-    for o in 0..weights.out_c {
-        let wrow = &weights.w[o * rows..(o + 1) * rows];
-        for j in 0..cols {
-            let mut acc = weights.bias[o];
-            for (r, &wv) in wrow.iter().enumerate() {
-                acc += wv * m[r * cols + j];
-            }
-            out.as_mut_slice()[o * cols + j] = if relu { acc.max(0.0) } else { acc };
         }
     }
     out
@@ -514,7 +486,7 @@ mod tests {
             let b = conv2d_gemm_f32(&input, &w, stride, pad, relu);
             assert_eq!(a.shape(), b.shape());
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!((x - y).abs() < 1e-4, "{x} vs {y} (stride {stride} pad {pad})");
+                assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y} (stride {stride} pad {pad})");
             }
         }
     }
@@ -522,7 +494,7 @@ mod tests {
     #[test]
     fn im2col_shape_and_patch_content() {
         let input = Tensor::from_fn(2, 4, 4, |c, y, x| (c * 16 + y * 4 + x) as f32);
-        let (m, shape) = im2col_f32(&input, 3, 1, 1);
+        let (m, shape) = im2col(&input, 3, 1, 1, 0.0);
         assert_eq!(shape, Shape::new(2 * 9, 4, 4));
         let cols = 16;
         // Center kernel tap of channel 0 at output (1,1) is input (1,1).
@@ -530,15 +502,6 @@ mod tests {
         assert_eq!(m[row * cols + 5], input[(0, 1, 1)]);
         // Top-left tap at output (0,0) is padding.
         assert_eq!(m[0], 0.0);
-    }
-
-    #[test]
-    fn generic_im2col_matches_float_path() {
-        let input = Tensor::from_fn(2, 5, 6, |c, y, x| (c * 30 + y * 6 + x) as f32 * 0.5 - 7.0);
-        let (a, ashape) = im2col_f32(&input, 3, 2, 1);
-        let (b, bshape) = im2col(&input, 3, 2, 1, 0.0f32);
-        assert_eq!(ashape, bshape);
-        assert_eq!(a, b);
     }
 
     proptest! {
@@ -563,10 +526,11 @@ mod tests {
             prop_assert_eq!(direct, gemm);
         }
 
-        // Blocked vs. naive, FLOAT: exact f32 equality. The blocked kernel
-        // must preserve the naive accumulation order per output element.
+        // Blocked GEMM vs. the direct float oracle: exact f32 equality. The
+        // blocked kernel must keep the direct loop's accumulation order
+        // per output element (model calibration relies on it).
         #[test]
-        fn blocked_f32_gemm_is_bit_exact_vs_naive(
+        fn blocked_f32_gemm_is_bit_exact_vs_direct(
             out_c in 1usize..10, // crosses the MR=4 boundary and remainders
             in_c in 1usize..4,
             h in 3usize..10,
@@ -582,11 +546,11 @@ mod tests {
                 (((c * 67 + y * 13 + x * 5) as u64 ^ seed) % 199) as f32 * 0.013 - 1.2
             });
             let relu = seed % 2 == 0;
-            let naive = conv2d_gemm_f32_naive(&input, &cw, stride, pad, relu);
+            let direct = conv2d_f32(&input, &cw, stride, pad, relu);
             let blocked = conv2d_gemm_f32(&input, &cw, stride, pad, relu);
-            prop_assert_eq!(naive.shape(), blocked.shape());
+            prop_assert_eq!(direct.shape(), blocked.shape());
             // Bit-exact: compare raw bits, not approximate equality.
-            for (a, b) in naive.as_slice().iter().zip(blocked.as_slice()) {
+            for (a, b) in direct.as_slice().iter().zip(blocked.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }

@@ -8,13 +8,15 @@
 //! realistically-scaled distributions — everything downstream (sparsity
 //! structure, zero-skipping, cycle counts, bit-exactness) is faithful.
 
-use crate::conv::{conv2d_f32, conv2d_quant_into, conv2d_quant_into_pool, ConvWeights, QuantConvWeights};
+use crate::conv::{conv2d_quant_into, conv2d_quant_into_pool, ConvWeights, QuantConvWeights};
 use crate::eltwise::{
     add_f32, add_quant_phase1, add_quant_phase2, batchnorm_f32, global_avgpool_f32,
     global_avgpool_quant_into, BnWeights,
 };
 use crate::fc::{fc_f32, fc_quant_into, softmax, FcWeights, QuantFcWeights};
+use crate::gemm::conv2d_gemm_f32;
 use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
+use crate::par::ConvPool;
 use crate::plan::{ExecPlan, PlanStep};
 use crate::pool::{maxpool_f32, maxpool_quant_into};
 use crate::scratch::{slot_pair, Scratch};
@@ -55,10 +57,20 @@ impl Default for SyntheticModelConfig {
 impl Network {
     /// Generates a synthetic float model for a network spec: He-scaled
     /// Gaussian weights (`std = sqrt(2 / fan_in)`), small biases, then
-    /// magnitude pruning per the density profile.
+    /// magnitude pruning per the density profile. Large weight tensors
+    /// fill on [`ConvPool::auto_threads`] workers; see
+    /// [`Network::synthetic_with_threads`].
     pub fn synthetic(spec: NetworkSpec, config: &SyntheticModelConfig) -> Network {
+        Network::synthetic_with_threads(spec, config, ConvPool::auto_threads())
+    }
+
+    /// [`Network::synthetic`] with large weight tensors filled on
+    /// `threads` workers. The network is bit-identical at every thread
+    /// count: each value is a pure function of its position in the seed's
+    /// keystream, whichever worker computes it.
+    pub fn synthetic_with_threads(spec: NetworkSpec, config: &SyntheticModelConfig, threads: usize) -> Network {
         let shapes = spec.shapes().expect("network must be shape-valid");
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut rng = GaussianStream::new(config.seed, threads);
         let mut conv_weights = Vec::new();
         let mut fc_weights = Vec::new();
         let mut bn_weights = Vec::new();
@@ -69,11 +81,9 @@ impl Network {
                     let fan_in = in_c * k * k;
                     let std = (2.0 / fan_in as f32).sqrt();
                     let mut w = ConvWeights::zeros(*out_c, *in_c, *k);
-                    for v in w.w.iter_mut() {
-                        *v = gaussian(&mut rng) * std;
-                    }
+                    rng.fill(&mut w.w, std);
                     for b in w.bias.iter_mut() {
-                        *b = gaussian(&mut rng) * 0.01;
+                        *b = rng.next() * 0.01;
                     }
                     prune_to_density(&mut w.w, config.density.density(conv_idx));
                     conv_idx += 1;
@@ -82,11 +92,9 @@ impl Network {
                 LayerSpec::Fc { in_features, out_features, .. } => {
                     let std = (2.0 / *in_features as f32).sqrt();
                     let mut w = FcWeights::zeros(*out_features, *in_features);
-                    for v in w.w.iter_mut() {
-                        *v = gaussian(&mut rng) * std;
-                    }
+                    rng.fill(&mut w.w, std);
                     for b in w.bias.iter_mut() {
-                        *b = gaussian(&mut rng) * 0.01;
+                        *b = rng.next() * 0.01;
                     }
                     fc_weights.push(w);
                 }
@@ -96,10 +104,10 @@ impl Network {
                     let c = shapes[li].c;
                     let mut bn = BnWeights::identity(c);
                     for i in 0..c {
-                        bn.gamma[i] = 1.0 + gaussian(&mut rng) * 0.1;
-                        bn.beta[i] = gaussian(&mut rng) * 0.05;
-                        bn.mean[i] = gaussian(&mut rng) * 0.05;
-                        bn.var[i] = (1.0 + gaussian(&mut rng) * 0.25).abs().max(0.05);
+                        bn.gamma[i] = 1.0 + rng.next() * 0.1;
+                        bn.beta[i] = rng.next() * 0.05;
+                        bn.mean[i] = rng.next() * 0.05;
+                        bn.var[i] = (1.0 + rng.next() * 0.25).abs().max(0.05);
                     }
                     bn_weights.push(bn);
                 }
@@ -178,7 +186,9 @@ impl Network {
 
     /// Float forward pass, invoking `visit(layer_index, activation)` after
     /// every layer (index 0 receives the input). Returns the final
-    /// activation flattened.
+    /// activation flattened. Convolutions run on the blocked
+    /// [`conv2d_gemm_f32`], bit-identical to the direct
+    /// [`crate::conv::conv2d_f32`] oracle.
     pub fn forward_f32_with(
         &self,
         input: &Tensor<f32>,
@@ -202,7 +212,7 @@ impl Network {
                 };
                 match layer {
                     LayerSpec::Conv { stride, pad, relu, .. } => {
-                        let out = conv2d_f32(prev, &self.conv_weights[conv_i], *stride, *pad, *relu);
+                        let out = conv2d_gemm_f32(prev, &self.conv_weights[conv_i], *stride, *pad, *relu);
                         conv_i += 1;
                         out
                     }
@@ -579,8 +589,100 @@ fn gaussian(rng: &mut impl Rng) -> f32 {
     loop {
         let u1: f32 = rng.gen::<f32>();
         let u2: f32 = rng.gen::<f32>();
-        if u1 > f32::EPSILON {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+        if let Some(v) = box_muller(u1, u2) {
+            return v;
+        }
+    }
+}
+
+/// One Box-Muller draw from two uniforms, or `None` when `u1` is too
+/// small for `ln` (the draw is rejected and [`gaussian`] tries again).
+#[inline]
+fn box_muller(u1: f32, u2: f32) -> Option<f32> {
+    (u1 > f32::EPSILON).then(|| (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos())
+}
+
+/// Keystream words one [`gaussian`] attempt reads (two `u64` uniforms).
+const GROUP_WORDS: u128 = 4;
+
+/// Slices shorter than this fill serially, so small layers spawn no
+/// threads (every ResNet-18 layer, at most 147456 weights, stays serial).
+const PAR_FILL_MIN: usize = 1 << 18;
+
+/// The synthetic-weight source: standard Gaussians from one ChaCha8
+/// keystream, the same sequence [`gaussian`] draws one at a time.
+///
+/// Each attempt reads one 4-word *group* of the stream and is rejected
+/// exactly when its `u1` is at most `f32::EPSILON`, so an accepted
+/// group's value depends only on its group index. [`GaussianStream::fill`]
+/// exploits that: workers seek to disjoint group ranges and evaluate them
+/// in parallel, then one pass drops the (rare) rejected groups and tops
+/// the slice up from the end of the range. The result and the final
+/// stream position equal the serial draws at any worker count.
+struct GaussianStream {
+    rng: ChaCha8Rng,
+    threads: usize,
+}
+
+impl GaussianStream {
+    fn new(seed: u64, threads: usize) -> Self {
+        GaussianStream { rng: ChaCha8Rng::seed_from_u64(seed), threads: threads.max(1) }
+    }
+
+    /// The next value of the sequence.
+    fn next(&mut self) -> f32 {
+        gaussian(&mut self.rng)
+    }
+
+    /// Sets `out[i]` to the next `out.len()` values, each times `scale`.
+    fn fill(&mut self, out: &mut [f32], scale: f32) {
+        if self.threads == 1 || out.len() < PAR_FILL_MIN {
+            for v in out.iter_mut() {
+                *v = self.next() * scale;
+            }
+            return;
+        }
+        let start = self.rng.get_word_pos();
+        let per = out.len().div_ceil(self.threads);
+        // Slot `i` of `out` evaluates group `i` past `start`; the indices
+        // of rejected groups come back in ascending order.
+        let rejected: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = out
+                .chunks_mut(per)
+                .enumerate()
+                .map(|(t, chunk)| {
+                    let mut rng = self.rng.clone();
+                    s.spawn(move || {
+                        let first = t * per;
+                        rng.set_word_pos(start + first as u128 * GROUP_WORDS);
+                        let mut rejected = Vec::new();
+                        for (i, v) in chunk.iter_mut().enumerate() {
+                            let u1: f32 = rng.gen::<f32>();
+                            let u2: f32 = rng.gen::<f32>();
+                            match box_muller(u1, u2) {
+                                Some(g) => *v = g * scale,
+                                None => rejected.push(first + i),
+                            }
+                        }
+                        rejected
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("gaussian fill worker panicked")).collect()
+        });
+        // Drop the rejected slots, keeping accepted values in order.
+        let first = rejected.first().copied().unwrap_or(out.len());
+        let mut kept = first;
+        let mut skip = rejected.iter().peekable();
+        for i in first..out.len() {
+            if skip.next_if_eq(&&i).is_none() {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        self.rng.set_word_pos(start + out.len() as u128 * GROUP_WORDS);
+        for v in &mut out[kept..] {
+            *v = self.next() * scale;
         }
     }
 }
@@ -621,6 +723,54 @@ mod tests {
         assert_eq!(a, b);
         let c = Network::synthetic(tiny_spec(), &SyntheticModelConfig { seed: 8, ..cfg });
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn parallel_fill_equals_serial_draws_across_a_rejected_group() {
+        const SEED: u64 = 156;
+        let n = PAR_FILL_MIN;
+        // The first group of the seed's stream whose draw is rejected.
+        let mut scan = ChaCha8Rng::seed_from_u64(SEED);
+        let rejected = (0..1u128 << 22)
+            .find(|_| {
+                let u1: f32 = scan.gen::<f32>();
+                let u2: f32 = scan.gen::<f32>();
+                box_muller(u1, u2).is_none()
+            })
+            .expect("a rejected group within the first 4 Mi groups");
+        // Start the fill so the rejected group is the first slot of the
+        // second worker at 2 workers (and of the third at 4).
+        let half = (n / 2) as u128;
+        assert!(rejected >= half, "seed {SEED} rejects too early (group {rejected})");
+        let start = (rejected - half) * GROUP_WORDS;
+        let mut serial = ChaCha8Rng::seed_from_u64(SEED);
+        serial.set_word_pos(start);
+        let expect: Vec<u32> = (0..n).map(|_| (gaussian(&mut serial) * 0.5).to_bits()).collect();
+        for threads in 1..=4 {
+            let mut stream = GaussianStream::new(SEED, threads);
+            stream.rng.set_word_pos(start);
+            let mut got = vec![0f32; n];
+            stream.fill(&mut got, 0.5);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert!(got == expect, "{threads} workers diverge from the serial draws");
+            assert_eq!(stream.rng.get_word_pos(), serial.get_word_pos(), "{threads} workers end elsewhere");
+            assert_eq!(stream.next().to_bits(), gaussian(&mut serial.clone()).to_bits());
+        }
+    }
+
+    #[test]
+    fn synthetic_is_identical_at_every_thread_count() {
+        // conv2 holds 294912 weights, enough for the parallel fill.
+        let spec = NetworkSpec {
+            name: "wide".into(),
+            input: Shape::new(3, 4, 4),
+            layers: vec![conv3x3("c1", 3, 128), conv3x3("c2", 128, 256)],
+        };
+        let cfg = SyntheticModelConfig { seed: 3, density: DensityProfile::uniform(2, 0.5) };
+        let serial = Network::synthetic_with_threads(spec.clone(), &cfg, 1);
+        for threads in 2..=4 {
+            assert_eq!(Network::synthetic_with_threads(spec.clone(), &cfg, threads), serial, "{threads} workers");
+        }
     }
 
     #[test]

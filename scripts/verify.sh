@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The vendored rand stand-ins: the seekable ChaCha8 keystream and its
+# AVX2 multi-block refill must equal the scalar block function.
+cargo test -q --offline --manifest-path vendor/rand/Cargo.toml
+cargo test -q --offline --manifest-path vendor/rand_chacha/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 
 # API docs must build warning-free (broken intra-doc links and malformed

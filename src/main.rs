@@ -301,6 +301,16 @@ impl Parsed {
             Some(v) => v.parse().unwrap_or_else(|_| fail_invalid(&format!("{name} takes a number, got '{v}'"))),
         }
     }
+
+    /// Parses a count flag that must be at least 1: a run over zero
+    /// images or evaluations fails closed rather than doing nothing.
+    fn parse_count<T: std::str::FromStr + PartialEq + From<u8>>(&self, name: &str, default: T) -> T {
+        let n = self.parse_num(name, default);
+        if n == T::from(0) {
+            fail_invalid(&format!("{name} takes a positive count, got 0"));
+        }
+        n
+    }
 }
 
 fn fail(msg: &str) -> ! {
@@ -428,7 +438,7 @@ fn parse_seed(p: &Parsed, name: &str, default: u64) -> u64 {
         None => (10, v),
     };
     u64::from_str_radix(digits, radix)
-        .unwrap_or_else(|_| fail(&format!("{name} takes a seed (decimal or 0x hex), got '{v}'")))
+        .unwrap_or_else(|_| fail_invalid(&format!("{name} takes a seed (decimal or 0x hex), got '{v}'")))
 }
 
 /// Reads `--hw`, which the built-in VGG-16 (five 2x2 pools) needs as a
@@ -620,7 +630,7 @@ fn infer(p: &Parsed) {
 
 fn batch(p: &Parsed) {
     let hw = parse_hw(p, 32);
-    let n: usize = p.parse_num("--n", 8);
+    let n: usize = p.parse_count("--n", 8);
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
     let backend = resolved.config.backend;
@@ -819,13 +829,13 @@ fn tune(p: &Parsed) {
     let searcher = p.choice("--searcher", Searcher::CoordinateDescent);
     let space = SearchSpace::named(kind);
     let seed = parse_seed(p, "--seed", DEFAULT_SEED);
-    let budget: u64 = p.parse_num("--budget", DEFAULT_BUDGET);
+    let budget: u64 = p.parse_count("--budget", DEFAULT_BUDGET);
     let hw = parse_hw(p, 32);
-    let n: usize = p.parse_num("--n", 4);
+    let n: usize = p.parse_count("--n", 4);
     let out = p.get("--out").unwrap_or("tuned.json").to_string();
 
     let qnet = build_network(p, hw, false);
-    let inputs = synthetic_inputs(3, n.max(1), qnet.spec.input);
+    let inputs = synthetic_inputs(3, n, qnet.spec.input);
     println!(
         "tuning {} for {} over the '{}' space ({} points) with {} (seed {seed:#x}, budget {budget})",
         qnet.spec.name,

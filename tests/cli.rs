@@ -1,7 +1,8 @@
 //! The `zskip` binary's configuration surface, driven as a user drives it.
 //!
-//! * Every knob flag of the library's knob table, plus `--hw` and
-//!   `--density`, fails closed on a bad value: exit 2 with the stable
+//! * Every knob flag of the library's knob table, plus `--hw`,
+//!   `--density`, `--n`, `--seed` and `--budget`, fails closed on a bad
+//!   value (a zero count included): exit 2 with the stable
 //!   `error[config.invalid]` code, never a panic (exit 101).
 //! * `infer`/`batch`/`serve`/`analyze --help` list exactly their flags,
 //!   with the knob defaults the CLI has always shipped.
@@ -69,6 +70,25 @@ fn bad_network_flags_fail_closed_with_config_invalid() {
         ["infer", "--density", "-0.5"],
         ["infer", "--density", "x"],
         ["analyze", "--density", "2"],
+    ] {
+        assert_config_invalid(&args);
+    }
+}
+
+#[test]
+fn bad_counts_and_seeds_fail_closed_with_config_invalid() {
+    for args in [
+        // A run over zero images or zero evaluations is an error, not a no-op.
+        ["batch", "--n", "0"],
+        ["batch", "--n", "x"],
+        ["batch", "--n", "-1"],
+        ["tune", "--budget", "0"],
+        ["tune", "--budget", "x"],
+        ["tune", "--n", "0"],
+        ["tune", "--seed", "0xzz"],
+        ["tune", "--seed", "-1"],
+        ["infer", "--seed", "x"],
+        ["infer", "--seed", "-1"],
     ] {
         assert_config_invalid(&args);
     }
